@@ -375,15 +375,14 @@ def run_sweep(config: RunConfig, family) -> str:
         for t in offsets:
             w = base + t
             symbol = np.array([-w, 1.0])
-            delta = corona_delta(symbol, config.inner)
             bound = min_abs_at_zeros(symbol, config.inner)
             a_bar = BoundaryFunction.from_poly(config.grid, symbol).conj()
             sigma = compressed_matrix(config.inner, a_bar, basis).sigma_min()
-            if delta > 0.0:
+            try:
                 cert = bezout_solve(symbol, config.inner)
-                sup_u, sup_v = cert.sup_u, cert.sup_v
-            else:
-                sup_u, sup_v = float("nan"), float("nan")
+                delta, sup_u, sup_v = cert.delta, cert.sup_u, cert.sup_v
+            except CommonZeroError:
+                delta, sup_u, sup_v = 0.0, float("nan"), float("nan")
             rows.append(
                 (
                     t.real,

@@ -278,7 +278,6 @@ class ProbeRow:
     corona_value: float
     f_norm: float
     taf_norm: float
-    quotient_sup: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +354,6 @@ def near_degenerate_probe(
                 corona_value=corona_value,
                 f_norm=hp_norm(f, params),
                 taf_norm=hp_norm(taf, params),
-                quotient_sup=factor_difference(poly, z).sup_on_circle()
-                if len(poly) > 1
-                else 0.0,
             )
         )
     return ProbeReport(tuple(rows), sigma, bound, params.p)

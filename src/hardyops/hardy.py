@@ -206,9 +206,6 @@ class BoundaryFunction:
     def is_analytic(self, tol: float = ANALYTIC_TOL) -> bool:
         return self.negative_mass() <= tol
 
-    def is_coanalytic_vanishing(self, tol: float = ANALYTIC_TOL) -> bool:
-        return self.positive_mass() <= tol
-
     def eval_disc(self, w) -> complex:
         """Evaluate the analytic extension sum_{k>=0} c_k w**k at |w| < 1."""
         w = complex(w)

@@ -3,10 +3,17 @@ the commutant of the compressed shift.
 
 Toeplitz: f -> P_plus(phi * f).  Hankel: f -> P_minus(psi * f).  Compressions
 act on the model space of a finite Blaschke product through its projection;
-matrices are taken in a chosen model-space basis.  The commutant of the
-compressed shift is computed as the nullspace of the commutation map
+matrices are taken in a chosen model-space basis.
+
+In the Takenaka-Malmquist basis the compressed shift S_I has a closed
+lower-triangular form in the ordered zeros (Garcia-Mashreghi-Ross), so
+`compressed_shift` builds it exactly, with no grid.  By Sarason's theorem
+the commutant of S_I is the set of compressed analytic Toeplitz operators
+phi(S_I); it is computed as the nullspace of the commutation map
 X -> X S - S X, and each commuting matrix is matched back to a polynomial
-symbol of degree below the space dimension.
+symbol of degree below the space dimension through the powers of S_I.
+The FFT route, `compressed_matrix` on the grid, stays as the independent
+cross-check of the closed form and serves every other basis kind.
 """
 
 from __future__ import annotations
@@ -36,10 +43,12 @@ from .hardy import (
     riesz_split,
 )
 from .model_space import (
+    TM_KIND,
     ModelSpaceBasis,
     _project_samples,
     expand,
     project,
+    sorted_zeros,
     tm_basis,
 )
 
@@ -169,9 +178,35 @@ def compressed_matrix(
     return OperatorMatrix(entries, basis, basis)
 
 
+def _tm_shift(zeros) -> np.ndarray:
+    """S_I in the Takenaka-Malmquist basis of `zeros`, taken in order.
+
+    Diagonal entry i is lambda_i; below it, entry (i, j) is
+    sqrt(1-|lambda_i|^2) * sqrt(1-|lambda_j|^2) * prod_{j<l<i} (-conj(lambda_l)).
+    """
+    lam = np.asarray(zeros, dtype=complex)
+    n = len(lam)
+    w = np.sqrt(1.0 - np.abs(lam) ** 2)
+    S = np.diag(lam)
+    for j in range(n - 1):
+        run = np.cumprod(np.concatenate(([1.0], -np.conj(lam[j + 1 : n - 1]))))
+        S[j + 1 :, j] = w[j + 1 :] * w[j] * run
+    return S
+
+
 def compressed_shift(inner: BlaschkeProduct, basis: ModelSpaceBasis) -> OperatorMatrix:
-    """Compression of multiplication by z."""
-    return compressed_matrix(inner, monomial(basis.grid, 1), basis)
+    """Compression of multiplication by z.
+
+    In a Takenaka-Malmquist basis the matrix comes in closed form from the
+    ordered zeros, in O(n^2) and without the grid; other basis kinds take
+    the FFT route through `compressed_matrix`, which for the TM basis
+    agrees with the closed form to roundoff and is its cross-check.
+    """
+    if basis.kind != TM_KIND:
+        return compressed_matrix(inner, monomial(basis.grid, 1), basis)
+    if basis.inner != inner:
+        raise ValueError("basis was built for a different inner function")
+    return OperatorMatrix(_tm_shift(sorted_zeros(inner)), basis, basis)
 
 
 def hankel_matrix(
@@ -329,7 +364,10 @@ def symbol_recover(
     Requires T to commute with the compressed shift (relative residual
     below 1e-8); the coefficients solve the linear system stacking the
     compressions of the monomials chi_0..chi_{n-1}, and the fit residual
-    must stay below `rtol`.
+    must stay below `rtol`.  Compression is multiplicative on analytic
+    symbols, so the compression of chi_d is S^d, taken as powers of
+    `compressed_shift` (closed form in a Takenaka-Malmquist basis) rather
+    than n FFT compressions.
     """
     if basis is None:
         basis = T.domain if isinstance(T.domain, ModelSpaceBasis) else tm_basis(inner, HardyParams(2.0))
@@ -343,9 +381,10 @@ def symbol_recover(
         )
     n = basis.dimension
     columns = np.empty((n * n, n), dtype=complex)
+    power = np.eye(n, dtype=complex)
     for d in range(n):
-        A = compressed_matrix(inner, monomial(basis.grid, d), basis)
-        columns[:, d] = A.entries.ravel(order="F")
+        columns[:, d] = power.ravel(order="F")
+        power = power @ S.entries
     target = T.entries.ravel(order="F")
     coeffs, *_ = np.linalg.lstsq(columns, target, rcond=None)
     residual = float(np.linalg.norm(columns @ coeffs - target) / max(1.0, np.linalg.norm(target)))

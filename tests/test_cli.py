@@ -227,6 +227,49 @@ def test_sweep_symbol_zero(tmp_path):
     assert healthy[7] == "1" and float(healthy[4]) > 0.0
 
 
+def test_sweep_symbol_zero_one_corona_delta_per_row(tmp_path, monkeypatch):
+    from hardyops import blaschke_make, corona
+
+    real = corona.corona_delta
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corona, "corona_delta", counted)
+    monkeypatch.setattr(cli, "corona_delta", counted)
+    offsets = [0.0, 0.2, [0.0, 0.4], 0.05]
+    cfg = write_json(tmp_path, "cfg.json", base_config())
+    fam = write_json(
+        tmp_path, "fam.json", {"kind": "symbol_zero", "zero": 0.3, "offsets": offsets}
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--family", fam, "--out", str(out)]) == 0
+    assert len(calls) == len(offsets)
+    inner = blaschke_make([0.3, -0.5])
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    for row, t in zip(rows, offsets):
+        w = 0.3 + (complex(*t) if isinstance(t, list) else t)
+        assert row.split(",")[4] == format(real([-w, 1.0], inner), ".12g")
+
+
+def test_sweep_ill_conditioned_row_exits_3(tmp_path, capsys):
+    zeros = [
+        -0.13 + 0.06j, -0.54 - 0.08j, 0.11 - 0.11j,
+        -0.18 + 0.26j, -0.75 - 0.48j, -0.3 - 0.67j,
+    ]
+    doc = {"inner": {"zeros": [[z.real, z.imag] for z in zeros]}, "symbol": [1.0]}
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    fam = write_json(
+        tmp_path,
+        "fam.json",
+        {"kind": "symbol_zero", "zero": [-0.13, 0.06], "offsets": [0.1, 1e-6]},
+    )
+    assert main(["sweep", "--config", cfg, "--family", fam]) == 3
+    assert "Bezout identity residual" in capsys.readouterr().err
+
+
 def test_sweep_probe_radius(tmp_path):
     cfg = write_json(tmp_path, "cfg.json", base_config())
     fam = write_json(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_analytic, random_blaschke, random_poly
+from conftest import random_analytic, random_blaschke, random_poly, random_zeros
 
 from hardyops import (
     BoundaryFunction,
@@ -17,6 +17,7 @@ from hardyops import (
     adjoint_defect,
     annihilator_defect,
     blaschke_make,
+    cauchy_basis,
     coanalytic_kernel_check,
     commutant_basis,
     commutation_residual,
@@ -38,6 +39,7 @@ from hardyops import (
     toeplitz_apply,
     unnormalized_kernel,
 )
+from hardyops import operators
 
 P = np.polynomial.polynomial
 
@@ -122,6 +124,8 @@ def test_compressed_mismatch_errors():
     phi = monomial(DEFAULT_GRID, 1)
     with pytest.raises(ValueError):
         compressed_matrix(other, phi, basis)
+    with pytest.raises(ValueError):
+        compressed_shift(other, basis)
     from hardyops import CircleGrid
 
     phi_small = monomial(CircleGrid(m=64, n=16), 1)
@@ -285,6 +289,81 @@ def test_symbol_recover_roundtrip():
         phi, resid = symbol_recover(inner, T, basis)
         np.testing.assert_allclose(phi.poly_coeffs(n - 1), phi0, atol=1e-8)
         assert resid < 1e-7
+
+
+def _fft_shift(inner, basis):
+    return compressed_matrix(inner, monomial(basis.grid, 1), basis).entries
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [
+        [0.3, 0.3, -0.5],
+        [0.0, 0.0, 0.0],
+        [0.95, -0.95j, 0.5 + 0.5j],
+        [0.6 - 0.2j, 0.6 - 0.2j, 0.6 - 0.2j, -0.1],
+    ],
+)
+def test_closed_form_shift_matches_fft_route_anchors(zeros):
+    inner = blaschke_make(zeros)
+    basis = tm_basis(inner, 2.0)
+    closed = compressed_shift(inner, basis).entries
+    assert np.abs(closed - _fft_shift(inner, basis)).max() < 1e-12
+    assert np.abs(np.triu(closed, 1)).max() == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("degree,radius", [(5, 0.9), (10, 0.95), (20, 0.9), (20, 0.95)])
+def test_closed_form_shift_matches_fft_route(seed, degree, radius):
+    rng = np.random.default_rng([63, seed])
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    inner = blaschke_make(random_zeros(rng, degree, radius), phase)
+    basis = tm_basis(inner, 2.0)
+    closed = compressed_shift(inner, basis).entries
+    assert np.abs(closed - _fft_shift(inner, basis)).max() < 1e-12
+
+
+def test_commutant_and_recovery_degree_20():
+    rng = np.random.default_rng(64)
+    inner = blaschke_make(random_zeros(rng, 20, 0.9))
+    basis = tm_basis(inner, 2.0)
+    assert len(commutant_basis(inner, basis)) == 20
+    phi0 = random_poly(rng, 19)
+    T = compressed_matrix(inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis)
+    phi, resid = symbol_recover(inner, T, basis)
+    np.testing.assert_allclose(phi.poly_coeffs(19), phi0, atol=1e-8)
+    assert resid < 1e-8
+
+
+def test_tm_commutant_and_recovery_skip_fft_compressions(monkeypatch):
+    rng = np.random.default_rng(65)
+    inner = blaschke_make(random_zeros(rng, 6, 0.9))
+    basis = tm_basis(inner, 2.0)
+    phi0 = random_poly(rng, 5)
+    T = compressed_matrix(inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("compressed_matrix called on a TM basis")
+
+    monkeypatch.setattr(operators, "compressed_matrix", boom)
+    mats = commutant_basis(inner, basis)
+    assert len(mats) == 6
+    assert commutation_singular_values(inner, basis).shape == (36,)
+    for X in mats:
+        symbol_recover(inner, X, basis)
+    phi, _ = symbol_recover(inner, T, basis)
+    np.testing.assert_allclose(phi.poly_coeffs(5), phi0, atol=1e-8)
+
+
+def test_symbol_recover_roundtrip_cauchy_basis():
+    rng = np.random.default_rng(66)
+    inner = blaschke_make(random_zeros(rng, 4, 0.8))
+    basis = cauchy_basis(inner, 2.0)
+    phi0 = random_poly(rng, 3)
+    T = compressed_matrix(inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis)
+    phi, resid = symbol_recover(inner, T, basis)
+    np.testing.assert_allclose(phi.poly_coeffs(3), phi0, atol=1e-8)
+    assert resid < 1e-7
 
 
 def test_symbol_recover_rejects_noncommuting():
