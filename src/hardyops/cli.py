@@ -6,7 +6,8 @@ LF endings), `sweep` tabulates a one-parameter family as CSV with 12
 significant digits.  Identical configs produce byte-identical artifacts;
 randomized checks draw from a generator seeded by the config.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure; a
+report also exits 3 when a defect it prints exceeds its printed tolerance.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from .hardy import (
 )
 from .model_space import _project_samples, tm_basis
 from .operators import (
+    adjoint_defect,
     commutant_basis,
-    commutation_singular_values,
-    compressed_matrix,
     symbol_recover,
+    tm_compression,
 )
 
 SCHEMA_VERSION = 1
@@ -59,6 +60,16 @@ TOLERANCES = {
     "adjoint_defect": 1e-8,
     "projection_defect": 1e-9,
     "recovery_residual": 1e-7,
+}
+
+#: Report entries held to a printed tolerance: check -> (keys, tolerance
+#: name).  A value above its tolerance makes the report a numerical failure.
+GATES = {
+    "adjoint": (("defect",), "adjoint_defect"),
+    "projection": (
+        ("idempotence_defect", "complement_defect", "annihilator_defect"),
+        "projection_defect",
+    ),
 }
 
 _PROJECTION_SAMPLES = 5
@@ -204,9 +215,9 @@ def _check_corona(config: RunConfig) -> dict:
     }
 
 
-def _check_bezout(config: RunConfig) -> dict:
+def _check_bezout(config: RunConfig, delta: float | None = None) -> dict:
     try:
-        cert = bezout_solve(config.symbol, config.inner)
+        cert = bezout_solve(config.symbol, config.inner, delta=delta)
     except CommonZeroError as exc:
         return {"error": "common_zero", "message": str(exc)}
     return {
@@ -220,8 +231,8 @@ def _check_bezout(config: RunConfig) -> dict:
     }
 
 
-def _check_compressed(config: RunConfig, basis, a_bar) -> dict:
-    M = compressed_matrix(config.inner, a_bar, basis)
+def _check_compressed(config: RunConfig) -> dict:
+    M = tm_compression(config.inner, coanalytic=config.symbol)
     sv = M.singular_values()
     ev = M.eigenvalues()
     return {
@@ -232,9 +243,9 @@ def _check_compressed(config: RunConfig, basis, a_bar) -> dict:
     }
 
 
-def _check_commutant(config: RunConfig, basis) -> dict:
-    mats = commutant_basis(config.inner, basis)
-    sv = commutation_singular_values(config.inner, basis)
+def _check_commutant(config: RunConfig) -> dict:
+    basis = tm_basis(config.inner, config.params, config.grid)
+    mats, sv = commutant_basis(config.inner, basis, with_singular_values=True)
     n2 = basis.dimension ** 2
     dim = len(mats)
     entry = {
@@ -254,8 +265,6 @@ def _check_commutant(config: RunConfig, basis) -> dict:
 
 
 def _check_adjoint(config: RunConfig) -> dict:
-    from .operators import adjoint_defect
-
     defect = adjoint_defect(config.inner, config.symbol, config.params, config.grid)
     return {"defect": defect, "p": config.params.p, "q": config.params.q}
 
@@ -299,24 +308,19 @@ def run_report(config: RunConfig) -> tuple[dict, bool]:
         "tolerances": dict(TOLERANCES),
         "checks": {},
     }
-    needs_basis = {"compressed", "commutant"} & set(config.checks)
-    basis = tm_basis(config.inner, config.params, config.grid) if needs_basis else None
-    a_bar = (
-        BoundaryFunction.from_poly(config.grid, config.symbol).conj()
-        if "compressed" in config.checks
-        else None
-    )
     failure = False
     for name in config.checks:
         try:
             if name == "corona":
                 entry = _check_corona(config)
             elif name == "bezout":
-                entry = _check_bezout(config)
+                # The corona entry, when present, already holds delta.
+                delta = doc["checks"].get("corona", {}).get("delta")
+                entry = _check_bezout(config, delta)
             elif name == "compressed":
-                entry = _check_compressed(config, basis, a_bar)
+                entry = _check_compressed(config)
             elif name == "commutant":
-                entry = _check_commutant(config, basis)
+                entry = _check_commutant(config)
             elif name == "adjoint":
                 entry = _check_adjoint(config)
             else:
@@ -324,6 +328,9 @@ def run_report(config: RunConfig) -> tuple[dict, bool]:
         except HardyOpsError as exc:
             entry = {"error": type(exc).__name__, "message": str(exc)}
             failure = True
+        if name in GATES and "error" not in entry:
+            keys, tol = GATES[name]
+            failure |= not all(entry[key] <= TOLERANCES[tol] for key in keys)
         doc["checks"][name] = entry
     return doc, failure
 
@@ -370,14 +377,12 @@ def run_sweep(config: RunConfig, family) -> str:
         offsets = [
             _parse_complex(t, f"family offset {i}") for i, t in enumerate(family["offsets"])
         ]
-        basis = tm_basis(config.inner, config.params, config.grid)
         rows = []
         for t in offsets:
             w = base + t
             symbol = np.array([-w, 1.0])
             bound = min_abs_at_zeros(symbol, config.inner)
-            a_bar = BoundaryFunction.from_poly(config.grid, symbol).conj()
-            sigma = compressed_matrix(config.inner, a_bar, basis).sigma_min()
+            sigma = tm_compression(config.inner, coanalytic=symbol).sigma_min()
             try:
                 cert = bezout_solve(symbol, config.inner)
                 delta, sup_u, sup_v = cert.delta, cert.sup_u, cert.sup_v

@@ -32,8 +32,8 @@ from .hardy import (
     grid_for_radius,
     hp_norm,
 )
-from .model_space import _project_samples, tm_basis
-from .operators import compressed_matrix, toeplitz_apply
+from .model_space import _project_samples
+from .operators import tm_compression, toeplitz_apply
 
 #: Values of min_k |a(z_k)| at or below this are treated as a common zero.
 ZERO_TOL = 1e-10
@@ -147,7 +147,12 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
     return best
 
 
-def bezout_solve(symbol_coeffs, inner: BlaschkeProduct, check_points: int = 4096) -> CoronaCertificate:
+def bezout_solve(
+    symbol_coeffs,
+    inner: BlaschkeProduct,
+    check_points: int = 4096,
+    delta: float | None = None,
+) -> CoronaCertificate:
     """Explicit pair u, v with a*u + I*v = 1 on the closed disc.
 
     Writing I = c * Pz / Q with Pz monic over the zeros and Q the
@@ -155,10 +160,13 @@ def bezout_solve(symbol_coeffs, inner: BlaschkeProduct, check_points: int = 4096
     a*U + c*Pz*W = Q with deg U < deg a + deg I constraints, solved as a
     square Sylvester-style linear system plus one iterative refinement
     pass; then u = U/Q and v = W.  The boundary residual must come out
-    below 1e-9 or the solve is reported as failed.
+    below 1e-9 or the solve is reported as failed.  A caller that already
+    holds `corona_delta` of this pair passes it as `delta` to skip the
+    search.
     """
     poly = as_poly(symbol_coeffs)
-    delta = corona_delta(poly, inner)
+    if delta is None:
+        delta = corona_delta(poly, inner)
     zero_route = min_abs_at_zeros(poly, inner) > ZERO_TOL
     consistent = (delta > 0.0) == zero_route
     if delta == 0.0:
@@ -286,8 +294,9 @@ class ProbeReport:
 
     Rows track how the norm of T_conj(a) applied to kernel-type probes
     behaves as the probe point approaches the circle; sigma_min is the
-    matrix-route smallest singular value and zero_bound the min of |a|
-    over the zeros of I, the invertibility threshold at p = 2.
+    smallest singular value of the compressed matrix a(S_I)^* and
+    zero_bound the min of |a| over the zeros of I, the invertibility
+    threshold at p = 2.
     """
 
     rows: tuple
@@ -335,8 +344,7 @@ def near_degenerate_probe(
         grid = grid_for_radius(radius)
     ib = inner.boundary(grid)
     a_bar = BoundaryFunction.from_poly(grid, poly).conj()
-    basis = tm_basis(inner, params, grid)
-    sigma = compressed_matrix(inner, a_bar, basis).sigma_min()
+    sigma = tm_compression(inner, coanalytic=poly).sigma_min()
     bound = min_abs_at_zeros(poly, inner)
     rows = []
     for z in probes:

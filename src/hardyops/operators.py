@@ -7,13 +7,17 @@ matrices are taken in a chosen model-space basis.
 
 In the Takenaka-Malmquist basis the compressed shift S_I has a closed
 lower-triangular form in the ordered zeros (Garcia-Mashreghi-Ross), so
-`compressed_shift` builds it exactly, with no grid.  By Sarason's theorem
-the commutant of S_I is the set of compressed analytic Toeplitz operators
-phi(S_I); it is computed as the nullspace of the commutation map
-X -> X S - S X, and each commuting matrix is matched back to a polynomial
-symbol of degree below the space dimension through the powers of S_I.
-The FFT route, `compressed_matrix` on the grid, stays as the independent
-cross-check of the closed form and serves every other basis kind.
+`compressed_shift` builds it exactly, with no grid.  In Sarason's
+truncated-Toeplitz picture the compression of a trigonometric polynomial
+phi_plus + conj(phi_minus) is phi_plus(S_I) + phi_minus(S_I)^*, which
+`tm_compression` evaluates by Horner's rule on that closed form.  By
+Sarason's theorem the commutant of S_I is the set of compressed analytic
+Toeplitz operators phi(S_I); it is computed as the nullspace of the
+commutation map X -> X S - S X, and each commuting matrix is matched back
+to a polynomial symbol of degree below the space dimension through the
+powers of S_I.  The FFT route, `compressed_matrix` on the grid, stays as
+the independent cross-check of both closed forms and serves every other
+basis kind and every symbol that is not a trigonometric polynomial.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .hardy import (
     _as_params,
     hp_norm,
     monomial,
-    pairing,
     require_analytic,
     riesz_split,
 )
@@ -47,7 +50,6 @@ from .model_space import (
     ModelSpaceBasis,
     _project_samples,
     expand,
-    project,
     sorted_zeros,
     tm_basis,
 )
@@ -209,6 +211,33 @@ def compressed_shift(inner: BlaschkeProduct, basis: ModelSpaceBasis) -> Operator
     return OperatorMatrix(_tm_shift(sorted_zeros(inner)), basis, basis)
 
 
+def _poly_of_matrix(coeffs, S: np.ndarray) -> np.ndarray:
+    """a(S) for ascending coefficients, by Horner's rule."""
+    out = np.zeros_like(S)
+    eye = np.eye(S.shape[0], dtype=complex)
+    for c in np.atleast_1d(np.asarray(coeffs, dtype=complex))[::-1]:
+        out = out @ S + c * eye
+    return out
+
+
+def tm_compression(inner: BlaschkeProduct, analytic=(), coanalytic=()) -> OperatorMatrix:
+    """Matrix of f -> P_I((phi_plus + conj(phi_minus)) * f) in the
+    Takenaka-Malmquist basis of the ordered zeros.
+
+    `analytic` and `coanalytic` are the ascending coefficients of the
+    polynomials phi_plus and phi_minus.  The matrix is
+    phi_plus(S_I) + phi_minus(S_I)^* on the closed-form S_I, so no grid or
+    basis functions are built; `compressed_matrix` on a `tm_basis` is its
+    FFT cross-check.
+    """
+    if inner.degree < 1:
+        raise ValueError("inner function must have degree >= 1")
+    S = _tm_shift(sorted_zeros(inner))
+    entries = _poly_of_matrix(analytic, S) + _poly_of_matrix(coanalytic, S).conj().T
+    label = f"{TM_KIND} basis, inner degree {inner.degree}"
+    return OperatorMatrix(entries, label, label)
+
+
 def hankel_matrix(
     symbol: BoundaryFunction,
     rows: int = DEFAULT_TRUNCATION,
@@ -317,13 +346,16 @@ def commutant_basis(
     basis: ModelSpaceBasis,
     rtol: float = NULLSPACE_RTOL,
     gap_tol: float = RANK_GAP_TOL,
-) -> list[OperatorMatrix]:
+    with_singular_values: bool = False,
+):
     """Basis of matrices commuting with the compressed shift.
 
     The commutation map is vectorized column-major, its nullspace read off
     an SVD with relative threshold `rtol`.  An ill-separated spectrum at
     the cut (dropped vs kept singular value ratio above `gap_tol`) raises
-    rather than guessing the dimension.
+    rather than guessing the dimension.  With `with_singular_values` the
+    result is the pair (matrices, singular values of that SVD, descending),
+    so a caller reporting the cut need not repeat the SVD.
     """
     S = compressed_shift(inner, basis).entries
     n = S.shape[0]
@@ -343,14 +375,9 @@ def commutant_basis(
                     f"kept sigma {sigma_keep:.3e} (ratio {sigma_drop / sigma_keep:.3e} "
                     f"> {gap_tol:.1e})"
                 )
-    if nullity == 0:
-        return []
     null_vecs = vh[n * n - nullity:].conj()
-    out = []
-    for vec in null_vecs:
-        X = vec.reshape((n, n), order="F")
-        out.append(OperatorMatrix(X, basis, basis))
-    return out
+    out = [OperatorMatrix(vec.reshape((n, n), order="F"), basis, basis) for vec in null_vecs]
+    return (out, s) if with_singular_values else out
 
 
 def symbol_recover(
@@ -406,26 +433,28 @@ def adjoint_defect(
     the q space.
 
     Pairs P_I(phi e_k) against f_j and e_k against P_plus(conj(phi) f_j)
-    over the two Takenaka-Malmquist bases and returns the largest
-    discrepancy; the projection on the q side is free because the model
-    space is backward-shift invariant.
+    over the Takenaka-Malmquist bases and returns the largest discrepancy;
+    the projection on the q side is free because the model space is
+    backward-shift invariant.  The p and q bases are the same functions
+    (`tm_basis` does not depend on the exponent), so one basis is built and
+    each image is paired against all of it in one product with its
+    coefficient matrix.
     """
     params = _as_params(params)
     grid = grid if grid is not None else DEFAULT_GRID
     phi = BoundaryFunction.from_poly(grid, as_poly(symbol_coeffs))
-    basis_p = tm_basis(inner, params, grid)
-    basis_q = tm_basis(inner, params.conjugate(), grid)
-    ib = inner.boundary(grid)
-    images_p = [_project_samples(ib, toeplitz_apply(phi, ek)) for ek in basis_p.functions]
     phi_bar = phi.conj()
-    images_q = [toeplitz_apply(phi_bar, fj) for fj in basis_q.functions]
-    defect = 0.0
-    for k, ek in enumerate(basis_p.functions):
-        for j, fj in enumerate(basis_q.functions):
-            lhs = pairing(images_p[k], fj)
-            rhs = pairing(ek, images_q[j])
-            defect = max(defect, abs(lhs - rhs))
-    return defect
+    basis = tm_basis(inner, params, grid)
+    B_h = basis.coeff_matrix().conj().T
+    ib = inner.boundary(grid)
+    n = basis.dimension
+    # lhs[j, k] = pairing(P_I(phi e_k), f_j); rhs[j, k] = pairing(e_k, P_plus(conj(phi) f_j)).
+    lhs = np.empty((n, n), dtype=complex)
+    rhs = np.empty((n, n), dtype=complex)
+    for k, ek in enumerate(basis.functions):
+        lhs[:, k] = B_h @ _project_samples(ib, toeplitz_apply(phi, ek)).coeffs
+        rhs[k, :] = np.conj(B_h @ toeplitz_apply(phi_bar, ek).coeffs)
+    return float(np.abs(lhs - rhs).max())
 
 
 def coanalytic_kernel_check(symbol_coeffs, grid: CircleGrid | None = None) -> float:

@@ -192,6 +192,94 @@ def test_exit_code_numerical_failure(tmp_path, monkeypatch):
     assert doc["checks"]["bezout"]["residual"] < 1e-9
 
 
+def test_report_runs_corona_delta_once(tmp_path, monkeypatch):
+    from hardyops import corona
+
+    real = corona.corona_delta
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    doc = base_config()
+    doc["checks"] = ["bezout"]
+    alone = tmp_path / "bezout.json"
+    assert main(["report", "--config", write_json(tmp_path, "b.json", doc), "--out", str(alone)]) == 0
+    monkeypatch.setattr(corona, "corona_delta", counted)
+    monkeypatch.setattr(cli, "corona_delta", counted)
+    doc["checks"] = ["corona", "bezout"]
+    both = tmp_path / "both.json"
+    assert main(["report", "--config", write_json(tmp_path, "cb.json", doc), "--out", str(both)]) == 0
+    assert len(calls) == 1
+    report = json.loads(both.read_text(encoding="utf-8"))
+    assert report["checks"]["bezout"] == json.loads(alone.read_text(encoding="utf-8"))["checks"]["bezout"]
+    assert report["checks"]["bezout"]["delta"] == report["checks"]["corona"]["delta"]
+
+
+def test_projection_defect_above_tolerance_exits_3(tmp_path):
+    doc = base_config()
+    doc["inner"] = {"zeros": [0.999, -0.5]}
+    doc["checks"] = ["projection"]
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)]) == 3
+    entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["projection"]
+    assert entry["idempotence_defect"] > TOLERANCES["projection_defect"]
+
+
+def test_adjoint_defect_above_tolerance_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "adjoint_defect", lambda *args: 3e-8)
+    doc = base_config()
+    doc["checks"] = ["corona", "adjoint"]
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)]) == 3
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["checks"]["adjoint"] == {"defect": 3e-8, "p": 2.0, "q": 2.0}
+    assert report["checks"]["corona"]["invertible"]
+
+
+def test_compressed_check_near_circle_zero():
+    doc = base_config()
+    doc["inner"] = {"zeros": [0.99, 0.2]}
+    doc["symbol"] = [0.3, 1.0]
+    doc["checks"] = ["compressed", "adjoint"]
+    report, failure = run_report(parse_config(doc))
+    compressed = report["checks"]["compressed"]
+    np.testing.assert_allclose(
+        [complex(*z) for z in compressed["eigenvalues"]], [0.5, 1.29], atol=1e-14
+    )
+    assert compressed["invertible"]
+    # adjoint still runs on the fixed grid, which aliases this inner
+    assert "error" in report["checks"]["adjoint"] and failure
+
+
+def test_production_paths_skip_fft_compressions(tmp_path, monkeypatch):
+    from hardyops import model_space, operators
+
+    def boom(*args, **kwargs):
+        raise AssertionError("FFT compression or basis expansion called")
+
+    for original in (operators.compressed_matrix, model_space.expand):
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.split(".")[0] == "hardyops":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, boom)
+    doc = base_config()
+    doc["checks"] = ["corona", "compressed", "adjoint"]
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    for i, family in enumerate(
+        [
+            {"kind": "symbol_zero", "zero": 0.3, "offsets": [0.0, 0.2]},
+            {"kind": "probe_radius", "radii": [0.2, 0.9], "angle": 0.4},
+        ]
+    ):
+        fam = write_json(tmp_path, f"fam{i}.json", family)
+        out = tmp_path / f"sweep{i}.csv"
+        assert main(["sweep", "--config", cfg, "--family", fam, "--out", str(out)]) == 0
+
+
 def test_common_zero_reported_not_fatal(tmp_path):
     doc = base_config()
     doc["symbol"] = [-0.3, 1.0]

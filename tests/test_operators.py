@@ -34,12 +34,15 @@ from hardyops import (
     kernel_eigen_residual,
     monomial,
     riesz_split,
+    pairing,
     symbol_recover,
     tm_basis,
+    tm_compression,
     toeplitz_apply,
     unnormalized_kernel,
 )
 from hardyops import operators
+from hardyops.model_space import _project_samples
 
 P = np.polynomial.polynomial
 
@@ -212,6 +215,57 @@ def test_hankel_band_guard():
         hankel_matrix(monomial(CircleGrid(m=64, n=16), -1), rows=12, cols=12)
 
 
+def test_tm_compression_anchors():
+    z2 = blaschke_make([0.0, 0.0])
+    basis = tm_basis(z2, 2.0)
+    a0, a1 = 0.3 + 0.1j, -0.7 + 0.2j
+    M = tm_compression(z2, coanalytic=[a0, a1])
+    np.testing.assert_allclose(M.entries, [[np.conj(a0), np.conj(a1)], [0.0, np.conj(a0)]])
+    inner = blaschke_make([0.3, -0.5, 0.2 + 0.4j])
+    S = compressed_shift(inner, tm_basis(inner, 2.0)).entries
+    np.testing.assert_array_equal(tm_compression(inner, [0.0, 1.0]).entries, S)
+    np.testing.assert_array_equal(tm_compression(inner).entries, np.zeros((3, 3)))
+    assert M.to_json_dict()["domain"] == "takenaka_malmquist basis, inner degree 2"
+    assert basis.describe().startswith(M.to_json_dict()["domain"])
+
+
+def _tm_compression_cases():
+    # (seed, degree, repeated zeros); radius up to 0.95
+    return [(0, 1, False), (1, 2, True), (2, 5, False), (3, 8, True),
+            (4, 13, False), (5, 20, True), (6, 27, False), (7, 40, False), (8, 40, True)]
+
+
+@pytest.mark.parametrize("seed,degree,repeated", _tm_compression_cases())
+def test_tm_compression_matches_fft_route(seed, degree, repeated):
+    rng = np.random.default_rng([67, seed])
+    zeros = random_zeros(rng, degree, 0.95)
+    if repeated:
+        zeros[degree // 2:] = zeros[0]
+    inner = blaschke_make(zeros, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    basis = tm_basis(inner, 2.0)
+    plus = random_poly(rng, int(rng.integers(0, 7)))
+    minus = random_poly(rng, int(rng.integers(0, 7)))
+    cases = [
+        ((plus, ()), BoundaryFunction.from_poly(DEFAULT_GRID, plus)),
+        (((), minus), BoundaryFunction.from_poly(DEFAULT_GRID, minus).conj()),
+        (
+            (plus, minus),
+            BoundaryFunction.from_poly(DEFAULT_GRID, plus)
+            + BoundaryFunction.from_poly(DEFAULT_GRID, minus).conj(),
+        ),
+    ]
+    for (analytic, coanalytic), symbol in cases:
+        closed = tm_compression(inner, analytic, coanalytic).entries
+        fft = compressed_matrix(inner, symbol, basis).entries
+        scale = max(1.0, np.linalg.norm(closed, 2))
+        assert np.abs(closed - fft).max() < 1e-12 * scale
+
+
+def test_tm_compression_rejects_trivial_inner():
+    with pytest.raises(ValueError):
+        tm_compression(blaschke_make([]), [1.0])
+
+
 def test_commutant_dimension_anchors():
     basis1 = tm_basis(blaschke_make([0.0]), 2.0)
     assert len(commutant_basis(blaschke_make([0.0]), basis1)) == 1
@@ -250,6 +304,19 @@ def test_commutation_singular_values_gap():
     assert sv.shape == (4,)
     assert sv[1] > 1e-3  # kept part well away from the nullspace
     assert sv[2] < 1e-12
+
+
+def test_commutant_basis_reports_its_singular_values():
+    rng = np.random.default_rng(68)
+    inner = blaschke_make(random_zeros(rng, 5, 0.9))
+    basis = tm_basis(inner, 2.0)
+    mats, sv = commutant_basis(inner, basis, with_singular_values=True)
+    plain = commutant_basis(inner, basis)
+    assert len(mats) == len(plain) == 5
+    for X, Y in zip(mats, plain):
+        np.testing.assert_array_equal(X.entries, Y.entries)
+    assert sv.shape == (25,) and np.all(np.diff(sv) <= 0.0)
+    np.testing.assert_allclose(sv, commutation_singular_values(inner, basis), atol=1e-14)
 
 
 def test_rank_ambiguity_error():
@@ -403,6 +470,31 @@ def test_adjoint_defect_random():
             inner = random_blaschke(rng, max_degree=4)
             phi = random_poly(rng, 4)
             assert adjoint_defect(inner, phi, p) < 1e-8
+
+
+def _adjoint_defect_pairwise(inner, symbol_coeffs, p):
+    """The defect pair by pair, over separately built p and q bases."""
+    phi = BoundaryFunction.from_poly(DEFAULT_GRID, symbol_coeffs)
+    basis_p = tm_basis(inner, p)
+    basis_q = tm_basis(inner, 1.0 / (1.0 - 1.0 / p))
+    ib = inner.boundary(DEFAULT_GRID)
+    images_p = [_project_samples(ib, toeplitz_apply(phi, ek)) for ek in basis_p.functions]
+    images_q = [toeplitz_apply(phi.conj(), fj) for fj in basis_q.functions]
+    defect = 0.0
+    for k, ek in enumerate(basis_p.functions):
+        for j, fj in enumerate(basis_q.functions):
+            lhs = pairing(images_p[k], fj)
+            rhs = pairing(ek, images_q[j])
+            defect = max(defect, abs(lhs - rhs))
+    return defect
+
+
+def test_adjoint_defect_matches_pairwise_reference():
+    rng = np.random.default_rng(69)
+    for p, degree in ((1.5, 3), (2.0, 7), (4.0, 12)):
+        inner = blaschke_make(random_zeros(rng, degree, 0.9))
+        phi = random_poly(rng, 3)
+        assert abs(adjoint_defect(inner, phi, p) - _adjoint_defect_pairwise(inner, phi, p)) < 1e-13
 
 
 def test_coanalytic_kernel_check():
