@@ -9,23 +9,28 @@ they are exact rational-function algebra.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import IllConditionedError, UnitDiscError
-from .hardy import BoundaryFunction, CircleGrid, HardyParams, _as_params
+from .hardy import BoundaryFunction, CircleGrid, _as_params
 
 #: Zeros closer than this to the circle are rejected; every downstream
 #: quantity conditions like 1/(1 - |z_k|).
 ZERO_MARGIN = 1e-9
 
 #: Roots of a polynomial within this distance of the circle make the
-#: inner-outer split ill-conditioned and are rejected.
+#: inner-outer split ill-conditioned and are rejected; numerator and
+#: denominator roots this close (relative) cancel in a RationalFunction.
 CIRCLE_ROOT_TOL = 1e-8
 
 _CHECK_POINTS = np.exp(2j * np.pi * np.arange(512) / 512)
+
+#: Points on the circle where boundary sup norms are taken.
+SUP_POINTS = np.exp(2j * np.pi * np.arange(4096) / 4096)
 
 
 def as_poly(coeffs) -> np.ndarray:
@@ -60,12 +65,14 @@ class BlaschkeProduct:
     def __post_init__(self) -> None:
         zeros = tuple(complex(z) for z in self.zeros)
         for z in zeros:
+            if not cmath.isfinite(z):
+                raise UnitDiscError(f"Blaschke zero {z} is not a finite number")
             if abs(z) >= 1.0 - ZERO_MARGIN:
                 raise UnitDiscError(
                     f"Blaschke zero {z} has |z|={abs(z):.12f} >= {1.0 - ZERO_MARGIN}"
                 )
         c = complex(self.constant)
-        if abs(abs(c) - 1.0) > 1e-12:
+        if not cmath.isfinite(c) or abs(abs(c) - 1.0) > 1e-12:
             raise UnitDiscError(f"constant {c} has modulus {abs(c)} != 1")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "constant", c)
@@ -105,6 +112,11 @@ class BlaschkeProduct:
         zeros = [complex(re, im) for re, im in doc["zeros"]]
         const = complex(*doc.get("constant", (1.0, 0.0)))
         return cls(tuple(zeros), const)
+
+
+def sorted_zeros(inner: BlaschkeProduct) -> tuple:
+    """Zeros ordered by (modulus, argument) so bases are reproducible."""
+    return tuple(sorted(inner.zeros, key=lambda z: (abs(z), np.angle(z))))
 
 
 def blaschke_make(zeros, constant: complex = 1.0) -> BlaschkeProduct:
@@ -171,13 +183,8 @@ class RationalFunction:
     def boundary(self, grid: CircleGrid) -> BoundaryFunction:
         return BoundaryFunction.from_samples(grid, self.evaluate(grid.points))
 
-    def sup_on_circle(self, points: int = 4096) -> float:
-        w = np.exp(2j * np.pi * np.arange(points) / points)
-        return float(np.max(np.abs(self.evaluate(w))))
-
-    @property
-    def degrees(self) -> tuple[int, int]:
-        return (len(self.num) - 1, len(self.den) - 1)
+    def sup_on_circle(self) -> float:
+        return float(np.max(np.abs(self.evaluate(SUP_POINTS))))
 
     def is_polynomial(self) -> bool:
         return len(self.den) == 1
@@ -196,8 +203,8 @@ class RationalFunction:
         }
 
 
-def _reduce(num: np.ndarray, den: np.ndarray, tol: float = CIRCLE_ROOT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Cancel common roots of num and den (within tol) by synthetic division."""
+def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cancel common roots of num and den (within CIRCLE_ROOT_TOL) by synthetic division."""
     if len(num) == 1 or len(den) == 1 or np.all(num == 0):
         return num, den
     num_roots = list(P.polyroots(num))
@@ -207,7 +214,7 @@ def _reduce(num: np.ndarray, den: np.ndarray, tol: float = CIRCLE_ROOT_TOL) -> t
             break
         dists = [abs(r_d - r_n) for r_n in num_roots]
         i = int(np.argmin(dists))
-        if dists[i] <= tol * max(1.0, abs(r_d)):
+        if dists[i] <= CIRCLE_ROOT_TOL * max(1.0, abs(r_d)):
             shared = 0.5 * (r_d + num_roots.pop(i))
             num = _synthetic_div(num, shared)
             den = _synthetic_div(den, shared)
@@ -300,7 +307,7 @@ def inner_outer_of_polynomial(a) -> tuple[BlaschkeProduct, RationalFunction]:
     inside = roots[np.abs(roots) < 1.0]
     outside = roots[np.abs(roots) > 1.0]
     lead = poly[-1]
-    inner = BlaschkeProduct(tuple(sorted(inside, key=lambda z: (abs(z), np.angle(z)))))
+    inner = BlaschkeProduct(sorted_zeros(BlaschkeProduct(tuple(inside))))
     outer_num = lead * P.polyfromroots(outside) if len(outside) else np.array([lead])
     outer = RationalFunction(P.polymul(outer_num, inner.denominator()), np.array([1.0 + 0j]))
     return inner, outer

@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .corona import (
+    BEZOUT_TOL,
+    ZERO_TOL,
     bezout_solve,
     corona_delta,
     min_abs_at_zeros,
@@ -36,11 +40,11 @@ from .hardy import (
     CircleGrid,
     DEFAULT_GRID,
     HardyParams,
-    hp_norm,
     pairing,
 )
 from .model_space import _project_samples, tm_basis
 from .operators import (
+    RECOVERY_TOL,
     adjoint_defect,
     commutant_basis,
     symbol_recover,
@@ -49,43 +53,47 @@ from .operators import (
 
 SCHEMA_VERSION = 1
 
-ALLOWED_CHECKS = ("corona", "bezout", "compressed", "commutant", "adjoint", "projection")
-
 #: sigma_min above this counts as invertible in reports.
 INVERTIBILITY_TOL = 1e-10
 
-TOLERANCES = {
-    "bezout_residual": 1e-9,
-    "invertibility_sigma": INVERTIBILITY_TOL,
-    "adjoint_defect": 1e-8,
-    "projection_defect": 1e-9,
-    "recovery_residual": 1e-7,
-}
+#: Largest adjoint defect a passing report may print.
+ADJOINT_TOL = 1e-8
 
-#: Report entries held to a printed tolerance: check -> (keys, tolerance
-#: name).  A value above its tolerance makes the report a numerical failure.
-GATES = {
-    "adjoint": (("defect",), "adjoint_defect"),
-    "projection": (
-        ("idempotence_defect", "complement_defect", "annihilator_defect"),
-        "projection_defect",
-    ),
+#: Largest idempotence, complement or annihilator defect a passing report
+#: may print.
+PROJECTION_TOL = 1e-9
+
+#: The tolerances a report prints, each the constant its enforcing code reads.
+TOLERANCES = {
+    "bezout_residual": BEZOUT_TOL,
+    "invertibility_sigma": INVERTIBILITY_TOL,
+    "adjoint_defect": ADJOINT_TOL,
+    "projection_defect": PROJECTION_TOL,
+    "recovery_residual": RECOVERY_TOL,
 }
 
 _PROJECTION_SAMPLES = 5
 _PROJECTION_DEGREE = 12
 
 
+def _finite(value) -> float | None:
+    """A JSON number (not a boolean) as a float, or None when it is not a
+    number or not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    numbers = [_finite(c) for c in parts]
+    if None in numbers:
+        raise ConfigError(f"{where}: expected a finite number or [re, im] pair, got {value!r}")
+    return complex(*numbers)
 
 
 def _complex_list(z) -> list:
@@ -103,6 +111,11 @@ class RunConfig:
     grid: CircleGrid
     checks: tuple
     seed: int
+
+    @cached_property
+    def delta(self) -> float:
+        """corona_delta of (symbol, inner), computed at most once per run."""
+        return corona_delta(self.symbol, self.inner)
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,27 +166,25 @@ def parse_config(doc) -> RunConfig:
     if np.all(symbol == 0.0):
         raise ConfigError("symbol polynomial is identically zero")
 
-    p = doc.get("p", 2.0)
-    if not isinstance(p, (int, float)) or isinstance(p, bool):
-        raise ConfigError(f"config 'p' must be a number, got {p!r}")
+    p = _finite(doc.get("p", 2.0))
+    if p is None:
+        raise ConfigError(f"config 'p' must be a finite number, got {doc['p']!r}")
 
     grid_doc = doc.get("grid", {"m": DEFAULT_GRID.m, "n": DEFAULT_GRID.n})
     if (
         not isinstance(grid_doc, dict)
         or set(grid_doc) != {"m", "n"}
-        or not all(isinstance(grid_doc[k], int) for k in ("m", "n"))
+        or not all(type(grid_doc[k]) is int for k in ("m", "n"))
     ):
         raise ConfigError("config 'grid' must be an object {\"m\": int, \"n\": int}")
 
-    checks_doc = doc.get("checks", list(ALLOWED_CHECKS))
+    checks_doc = doc.get("checks", list(CHECKS))
     if not isinstance(checks_doc, list) or not all(isinstance(c, str) for c in checks_doc):
         raise ConfigError("config 'checks' must be a list of check names")
-    bad = sorted(set(checks_doc) - set(ALLOWED_CHECKS))
+    bad = sorted(set(checks_doc) - set(CHECKS))
     if bad:
-        raise ConfigError(
-            f"unknown checks: {', '.join(bad)}; allowed: {', '.join(ALLOWED_CHECKS)}"
-        )
-    checks = tuple(c for c in ALLOWED_CHECKS if c in checks_doc)
+        raise ConfigError(f"unknown checks: {', '.join(bad)}; allowed: {', '.join(CHECKS)}")
+    checks = tuple(c for c in CHECKS if c in checks_doc)
     if not checks:
         raise ConfigError("config 'checks' selects nothing")
 
@@ -183,7 +194,7 @@ def parse_config(doc) -> RunConfig:
 
     try:
         inner = BlaschkeProduct(tuple(zeros), constant)
-        params = HardyParams(float(p))
+        params = HardyParams(p)
         grid = CircleGrid(m=grid_doc["m"], n=grid_doc["n"])
     except (HardyOpsError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -205,19 +216,18 @@ def load_json(path: str, what: str):
 
 
 def _check_corona(config: RunConfig) -> dict:
-    delta = corona_delta(config.symbol, config.inner)
     bound = min_abs_at_zeros(config.symbol, config.inner)
     return {
-        "delta": delta,
+        "delta": config.delta,
         "min_abs_at_inner_zeros": bound,
-        "invertible": delta > 0.0,
-        "consistent": (delta > 0.0) == (bound > 1e-10),
+        "invertible": config.delta > 0.0,
+        "consistent": (config.delta > 0.0) == (bound > ZERO_TOL),
     }
 
 
-def _check_bezout(config: RunConfig, delta: float | None = None) -> dict:
+def _check_bezout(config: RunConfig) -> dict:
     try:
-        cert = bezout_solve(config.symbol, config.inner, delta=delta)
+        cert = bezout_solve(config.symbol, config.inner, delta=config.delta)
     except CommonZeroError as exc:
         return {"error": "common_zero", "message": str(exc)}
     return {
@@ -245,7 +255,7 @@ def _check_compressed(config: RunConfig) -> dict:
 
 def _check_commutant(config: RunConfig) -> dict:
     basis = tm_basis(config.inner, config.params, config.grid)
-    mats, sv = commutant_basis(config.inner, basis, with_singular_values=True)
+    mats, sv = commutant_basis(config.inner, basis)
     n2 = basis.dimension ** 2
     dim = len(mats)
     entry = {
@@ -300,6 +310,24 @@ def _check_projection(config: RunConfig) -> dict:
     }
 
 
+#: Report checks in canonical order: name -> (check, gated keys, tolerance
+#: name).  A check maps a RunConfig to its entry; a gated value above
+#: TOLERANCES[tolerance name] makes the report a numerical failure.  The
+#: other printed tolerances are enforced by the library calls themselves.
+CHECKS = {
+    "corona": (_check_corona, (), None),
+    "bezout": (_check_bezout, (), None),
+    "compressed": (_check_compressed, (), None),
+    "commutant": (_check_commutant, (), None),
+    "adjoint": (_check_adjoint, ("defect",), "adjoint_defect"),
+    "projection": (
+        _check_projection,
+        ("idempotence_defect", "complement_defect", "annihilator_defect"),
+        "projection_defect",
+    ),
+}
+
+
 def run_report(config: RunConfig) -> tuple[dict, bool]:
     """Execute the selected checks; returns (document, numerical_failure)."""
     doc = {
@@ -310,26 +338,13 @@ def run_report(config: RunConfig) -> tuple[dict, bool]:
     }
     failure = False
     for name in config.checks:
+        check, keys, tol = CHECKS[name]
         try:
-            if name == "corona":
-                entry = _check_corona(config)
-            elif name == "bezout":
-                # The corona entry, when present, already holds delta.
-                delta = doc["checks"].get("corona", {}).get("delta")
-                entry = _check_bezout(config, delta)
-            elif name == "compressed":
-                entry = _check_compressed(config)
-            elif name == "commutant":
-                entry = _check_commutant(config)
-            elif name == "adjoint":
-                entry = _check_adjoint(config)
-            else:
-                entry = _check_projection(config)
+            entry = check(config)
         except HardyOpsError as exc:
             entry = {"error": type(exc).__name__, "message": str(exc)}
             failure = True
-        if name in GATES and "error" not in entry:
-            keys, tol = GATES[name]
+        else:
             failure |= not all(entry[key] <= TOLERANCES[tol] for key in keys)
         doc["checks"][name] = entry
     return doc, failure
@@ -422,17 +437,13 @@ def run_sweep(config: RunConfig, family) -> str:
         if "radii" not in family:
             raise ConfigError("probe_radius family needs 'radii'")
         radii = family["radii"]
-        if (
-            not isinstance(radii, list)
-            or not radii
-            or not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in radii)
-        ):
-            raise ConfigError("family 'radii' must be a nonempty list of numbers")
+        if not isinstance(radii, list) or not radii or None in map(_finite, radii):
+            raise ConfigError("family 'radii' must be a nonempty list of finite numbers")
         if not all(0.0 <= r < 1.0 for r in radii):
             raise ConfigError("family radii must lie in [0, 1)")
-        angle = family.get("angle", 0.0)
-        if not isinstance(angle, (int, float)) or isinstance(angle, bool):
-            raise ConfigError(f"family 'angle' must be a number, got {angle!r}")
+        angle = _finite(family.get("angle", 0.0))
+        if angle is None:
+            raise ConfigError(f"family 'angle' must be a finite number, got {family['angle']!r}")
         probes = [r * np.exp(1j * angle) for r in radii]
         report = near_degenerate_probe(
             config.inner, config.symbol, probes, config.params

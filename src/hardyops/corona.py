@@ -17,6 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .blaschke import (
+    SUP_POINTS,
     BlaschkeProduct,
     RationalFunction,
     as_poly,
@@ -148,10 +149,7 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
 
 
 def bezout_solve(
-    symbol_coeffs,
-    inner: BlaschkeProduct,
-    check_points: int = 4096,
-    delta: float | None = None,
+    symbol_coeffs, inner: BlaschkeProduct, delta: float | None = None
 ) -> CoronaCertificate:
     """Explicit pair u, v with a*u + I*v = 1 on the closed disc.
 
@@ -159,10 +157,11 @@ def bezout_solve(
     reflected denominator, the identity reduces to the polynomial equation
     a*U + c*Pz*W = Q with deg U < deg a + deg I constraints, solved as a
     square Sylvester-style linear system plus one iterative refinement
-    pass; then u = U/Q and v = W.  The boundary residual must come out
-    below 1e-9 or the solve is reported as failed.  A caller that already
-    holds `corona_delta` of this pair passes it as `delta` to skip the
-    search.
+    pass; then u = U/Q and v = W.  The boundary residual on SUP_POINTS
+    must come out below BEZOUT_TOL or the solve is reported as failed; the
+    sup norms of u and v are read off the same boundary values.  A caller
+    that already holds `corona_delta` of this pair passes it as `delta` to
+    skip the search.
     """
     poly = as_poly(symbol_coeffs)
     if delta is None:
@@ -205,11 +204,9 @@ def bezout_solve(
         u = RationalFunction(sol[:n], q)
         v = RationalFunction(sol[n:], [1.0])
 
-    pts = np.exp(2j * np.pi * np.arange(check_points) / check_points)
-    lhs = (
-        P.polyval(pts, poly) * u.evaluate(pts)
-        + blaschke_eval(inner, pts) * v.evaluate(pts)
-    )
+    u_vals = u.evaluate(SUP_POINTS)
+    v_vals = v.evaluate(SUP_POINTS)
+    lhs = P.polyval(SUP_POINTS, poly) * u_vals + blaschke_eval(inner, SUP_POINTS) * v_vals
     residual = float(np.abs(lhs - 1.0).max())
     if residual > BEZOUT_TOL:
         raise IllConditionedError(
@@ -222,8 +219,8 @@ def bezout_solve(
         u=u,
         v=v,
         residual=residual,
-        sup_u=u.sup_on_circle(),
-        sup_v=v.sup_on_circle(),
+        sup_u=float(np.max(np.abs(u_vals))),
+        sup_v=float(np.max(np.abs(v_vals))),
         consistent=consistent,
     )
 
@@ -237,7 +234,7 @@ def corona_inverse_apply(
     """Apply the inverse of the compressed coanalytic operator: g = T_conj(u) f.
 
     Requires f to lie in the model space of the inner function (relative
-    projection defect below 1e-8) and verifies the roundtrip
+    projection defect below MEMBERSHIP_TOL) and verifies the roundtrip
     T_conj(a) g = f before returning.
     """
     if cert.inner != inner:

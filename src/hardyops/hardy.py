@@ -30,6 +30,14 @@ DEFAULT_N = 1000
 #: Relative negative-mass threshold below which a function counts as analytic.
 ANALYTIC_TOL = 1e-8
 
+#: Coefficient tail that `grid_for_radius` leaves unresolved.
+GRID_TAIL = 1e-10
+
+#: `integral_mean` stops refining when two successive quadratures agree to
+#: this relative tolerance, and gives up beyond this many points.
+INTEGRAL_MEAN_RTOL = 1e-8
+INTEGRAL_MEAN_MAX_POINTS = 1 << 22
+
 
 def _validate_exponent(p: float) -> None:
     if not np.isfinite(p) or p <= 1.0:
@@ -85,14 +93,14 @@ class CircleGrid:
 DEFAULT_GRID = CircleGrid()
 
 
-def grid_for_radius(radius: float, tail: float = 1e-10) -> CircleGrid:
+def grid_for_radius(radius: float) -> CircleGrid:
     """A grid whose band resolves geometric coefficient decay radius**k
-    down to `tail`.  Falls back to the default grid for well-separated radii."""
+    down to GRID_TAIL; the default grid for well-separated radii."""
     if not 0.0 <= radius < 1.0:
         raise UnitDiscError(f"radius {radius} must lie in [0, 1)")
     if radius == 0.0:
         return DEFAULT_GRID
-    n = int(np.ceil(np.log(tail) / np.log(radius))) + 8
+    n = int(np.ceil(np.log(GRID_TAIL) / np.log(radius))) + 8
     if n <= DEFAULT_N:
         return DEFAULT_GRID
     m = 1 << int(np.ceil(np.log2(2 * n + 2)))
@@ -203,9 +211,6 @@ class BoundaryFunction:
             return 0.0
         return float(np.linalg.norm(self.coeffs[self.grid.n:]) / total)
 
-    def is_analytic(self, tol: float = ANALYTIC_TOL) -> bool:
-        return self.negative_mass() <= tol
-
     def eval_disc(self, w) -> complex:
         """Evaluate the analytic extension sum_{k>=0} c_k w**k at |w| < 1."""
         w = complex(w)
@@ -282,11 +287,11 @@ def monomial(grid: CircleGrid, k: int) -> BoundaryFunction:
     return BoundaryFunction(grid, coeffs)
 
 
-def require_analytic(f: BoundaryFunction, what: str = "input", tol: float = ANALYTIC_TOL) -> None:
+def require_analytic(f: BoundaryFunction, what: str = "input") -> None:
     mass = f.negative_mass()
-    if mass > tol:
+    if mass > ANALYTIC_TOL:
         raise NotAnalyticError(
-            f"{what} has relative negative Fourier mass {mass:.3e} > {tol:.1e}"
+            f"{what} has relative negative Fourier mass {mass:.3e} > {ANALYTIC_TOL:.1e}"
         )
 
 
@@ -344,11 +349,11 @@ def shifts(f: BoundaryFunction) -> tuple[BoundaryFunction, BoundaryFunction]:
     )
 
 
-def integral_mean(z: complex, params, rel_tol: float = 1e-8, max_points: int = 1 << 22) -> float:
+def integral_mean(z: complex, params) -> float:
     """(integral_0^2pi dtheta / |1 - z e^{-i theta}|**p)**(1/p) for |z| < 1.
 
     Trapezoidal quadrature with doubling refinement until two successive
-    refinements agree to `rel_tol` relative.
+    refinements agree to INTEGRAL_MEAN_RTOL relative.
     """
     params = _as_params(params)
     z = complex(z)
@@ -363,14 +368,14 @@ def integral_mean(z: complex, params, rel_tol: float = 1e-8, max_points: int = 1
 
     k = 512
     prev = quad(k)
-    while k <= max_points:
+    while k <= INTEGRAL_MEAN_MAX_POINTS:
         k *= 2
         cur = quad(k)
-        if abs(cur - prev) <= rel_tol * abs(cur):
+        if abs(cur - prev) <= INTEGRAL_MEAN_RTOL * abs(cur):
             return cur ** (1.0 / p)
         prev = cur
     raise IllConditionedError(
-        f"integral mean at z={z}, p={p} did not converge within {max_points} points"
+        f"integral mean at z={z}, p={p} did not converge within {INTEGRAL_MEAN_MAX_POINTS} points"
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, sorted_zeros
 from .errors import IllConditionedError
 from .hardy import (
     DEFAULT_GRID,
@@ -28,7 +28,7 @@ from .hardy import (
 TM_KIND = "takenaka_malmquist"
 CAUCHY_KIND = "cauchy_kernels"
 
-#: Default relative residual allowed when expanding a function in a basis.
+#: Relative residual allowed when expanding a function in a basis.
 EXPANSION_TOL = 1e-8
 
 
@@ -69,11 +69,6 @@ class ModelSpaceBasis:
             "p": self.params.p,
             "functions": [f.to_json_dict() for f in self.functions],
         }
-
-
-def sorted_zeros(inner: BlaschkeProduct) -> tuple:
-    """Zeros ordered by (modulus, argument) so bases are reproducible."""
-    return tuple(sorted(inner.zeros, key=lambda z: (abs(z), np.angle(z))))
 
 
 def _project_samples(inner_boundary: BoundaryFunction, f: BoundaryFunction) -> BoundaryFunction:
@@ -131,7 +126,7 @@ def cauchy_basis(inner: BlaschkeProduct, params, grid: CircleGrid | None = None)
     return ModelSpaceBasis(inner, CAUCHY_KIND, tuple(funcs), params)
 
 
-def expand(basis: ModelSpaceBasis, f: BoundaryFunction, rtol: float = EXPANSION_TOL):
+def expand(basis: ModelSpaceBasis, f: BoundaryFunction):
     """Least-squares coordinates of f in the basis.
 
     Returns (coords, residual); residual is the L2 misfit relative to
@@ -141,9 +136,9 @@ def expand(basis: ModelSpaceBasis, f: BoundaryFunction, rtol: float = EXPANSION_
     y = f.coeffs
     coords, *_ = np.linalg.lstsq(B, y, rcond=None)
     residual = float(np.linalg.norm(B @ coords - y) / max(1.0, np.linalg.norm(y)))
-    if residual > rtol:
+    if residual > EXPANSION_TOL:
         raise IllConditionedError(
-            f"basis expansion residual {residual:.3e} exceeds {rtol:.1e}; "
+            f"basis expansion residual {residual:.3e} exceeds {EXPANSION_TOL:.1e}; "
             "the function does not lie in the model space at this tolerance"
         )
     return coords, residual

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, as_poly, inner_outer_of_polynomial
+from .blaschke import BlaschkeProduct, as_poly, inner_outer_of_polynomial, sorted_zeros
 from .errors import (
     CommutationError,
     GridMismatchError,
@@ -50,7 +50,6 @@ from .model_space import (
     ModelSpaceBasis,
     _project_samples,
     expand,
-    sorted_zeros,
     tm_basis,
 )
 
@@ -161,8 +160,8 @@ def compressed_matrix(
     """Matrix of f -> P_I(symbol * f) on the model space, in `basis`.
 
     Each image column is re-expanded in the basis; an expansion residual
-    above 1e-8 means the compression left the space numerically and is
-    reported as a failure rather than silently truncated.
+    above EXPANSION_TOL means the compression left the space numerically
+    and is reported as a failure rather than silently truncated.
     """
     if basis.inner != inner:
         raise ValueError("basis was built for a different inner function")
@@ -332,30 +331,16 @@ def commutation_residual(T: OperatorMatrix, S: OperatorMatrix) -> float:
     return float(np.abs(T.entries @ S.entries - S.entries @ T.entries).max())
 
 
-def commutation_singular_values(inner: BlaschkeProduct, basis: ModelSpaceBasis) -> np.ndarray:
-    """Singular values of X -> X S - S X on the model space, descending."""
-    S = compressed_shift(inner, basis).entries
-    n = S.shape[0]
-    eye = np.eye(n)
-    M = np.kron(S.T, eye) - np.kron(eye, S)
-    return np.linalg.svd(M, compute_uv=False)
-
-
 def commutant_basis(
-    inner: BlaschkeProduct,
-    basis: ModelSpaceBasis,
-    rtol: float = NULLSPACE_RTOL,
-    gap_tol: float = RANK_GAP_TOL,
-    with_singular_values: bool = False,
-):
-    """Basis of matrices commuting with the compressed shift.
+    inner: BlaschkeProduct, basis: ModelSpaceBasis
+) -> tuple[list, np.ndarray]:
+    """Basis of matrices commuting with the compressed shift, and the
+    singular values of the commutation map X -> X S - S X, descending.
 
     The commutation map is vectorized column-major, its nullspace read off
-    an SVD with relative threshold `rtol`.  An ill-separated spectrum at
-    the cut (dropped vs kept singular value ratio above `gap_tol`) raises
-    rather than guessing the dimension.  With `with_singular_values` the
-    result is the pair (matrices, singular values of that SVD, descending),
-    so a caller reporting the cut need not repeat the SVD.
+    its SVD with relative threshold NULLSPACE_RTOL.  An ill-separated
+    spectrum at the cut (dropped vs kept singular value ratio above
+    RANK_GAP_TOL) raises rather than guessing the dimension.
     """
     S = compressed_shift(inner, basis).entries
     n = S.shape[0]
@@ -365,39 +350,34 @@ def commutant_basis(
     if s[0] == 0.0:
         nullity = n * n
     else:
-        nullity = int(np.sum(s <= rtol * s[0]))
+        nullity = int(np.sum(s <= NULLSPACE_RTOL * s[0]))
         if 0 < nullity < n * n:
             sigma_drop = s[n * n - nullity]
             sigma_keep = s[n * n - nullity - 1]
-            if sigma_drop > gap_tol * sigma_keep:
+            if sigma_drop > RANK_GAP_TOL * sigma_keep:
                 raise RankAmbiguityError(
                     f"nullspace cut is ambiguous: dropped sigma {sigma_drop:.3e} vs "
                     f"kept sigma {sigma_keep:.3e} (ratio {sigma_drop / sigma_keep:.3e} "
-                    f"> {gap_tol:.1e})"
+                    f"> {RANK_GAP_TOL:.1e})"
                 )
     null_vecs = vh[n * n - nullity:].conj()
     out = [OperatorMatrix(vec.reshape((n, n), order="F"), basis, basis) for vec in null_vecs]
-    return (out, s) if with_singular_values else out
+    return out, s
 
 
 def symbol_recover(
-    inner: BlaschkeProduct,
-    T: OperatorMatrix,
-    basis: ModelSpaceBasis | None = None,
-    rtol: float = RECOVERY_TOL,
+    inner: BlaschkeProduct, T: OperatorMatrix, basis: ModelSpaceBasis
 ) -> tuple[BoundaryFunction, float]:
     """Polynomial symbol of degree < n whose compression equals T.
 
     Requires T to commute with the compressed shift (relative residual
-    below 1e-8); the coefficients solve the linear system stacking the
-    compressions of the monomials chi_0..chi_{n-1}, and the fit residual
-    must stay below `rtol`.  Compression is multiplicative on analytic
-    symbols, so the compression of chi_d is S^d, taken as powers of
-    `compressed_shift` (closed form in a Takenaka-Malmquist basis) rather
-    than n FFT compressions.
+    below COMMUTATION_TOL); the coefficients solve the linear system
+    stacking the compressions of the monomials chi_0..chi_{n-1}, and the
+    fit residual must stay below RECOVERY_TOL.  Compression is
+    multiplicative on analytic symbols, so the compression of chi_d is
+    S^d, taken as powers of `compressed_shift` (closed form in a
+    Takenaka-Malmquist basis) rather than n FFT compressions.
     """
-    if basis is None:
-        basis = T.domain if isinstance(T.domain, ModelSpaceBasis) else tm_basis(inner, HardyParams(2.0))
     S = compressed_shift(inner, basis)
     scale = max(1.0, float(np.abs(T.entries).max()))
     resid = commutation_residual(T, S)
@@ -415,9 +395,9 @@ def symbol_recover(
     target = T.entries.ravel(order="F")
     coeffs, *_ = np.linalg.lstsq(columns, target, rcond=None)
     residual = float(np.linalg.norm(columns @ coeffs - target) / max(1.0, np.linalg.norm(target)))
-    if residual > rtol:
+    if residual > RECOVERY_TOL:
         raise IllConditionedError(
-            f"symbol recovery residual {residual:.3e} exceeds {rtol:.1e}"
+            f"symbol recovery residual {residual:.3e} exceeds {RECOVERY_TOL:.1e}"
         )
     return BoundaryFunction.from_poly(basis.grid, coeffs), residual
 

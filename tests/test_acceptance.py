@@ -209,7 +209,7 @@ def test_criterion_5_commutant_and_recovery():
         basis = tm_basis(inner, 2.0)
         S = compressed_shift(inner, basis)
 
-        mats = commutant_basis(inner, basis)
+        mats, _ = commutant_basis(inner, basis)
         ok = ok and len(mats) == degree
         for X in mats:
             phi, residual = symbol_recover(inner, X, basis)

@@ -29,6 +29,12 @@ def test_construction_validation():
         blaschke_make([1.0])
     with pytest.raises(UnitDiscError):
         blaschke_make([0.5], constant=2.0)
+    for zero in (float("nan"), complex(0.1, float("nan")), complex(float("inf"), 0.0)):
+        with pytest.raises(UnitDiscError):
+            blaschke_make([zero])
+    for constant in (float("nan"), complex(float("inf"), 1.0)):
+        with pytest.raises(UnitDiscError):
+            blaschke_make([0.5], constant=constant)
     inner = blaschke_make([0.5, -0.3j], constant=1j)
     assert inner.degree == 2
     assert blaschke_make([]).degree == 0

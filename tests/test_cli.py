@@ -2,16 +2,19 @@
 determinism, exit codes, and sweep CSV output."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardyops
 from hardyops import ConfigError, IllConditionedError
 from hardyops import cli
 from hardyops.cli import (
-    ALLOWED_CHECKS,
+    CHECKS,
     TOLERANCES,
     canonical_json,
     main,
@@ -39,7 +42,7 @@ def test_parse_config_defaults():
     config = parse_config(base_config())
     assert config.params.p == 2.0
     assert config.grid.m == 2048 and config.grid.n == 1000
-    assert config.checks == ALLOWED_CHECKS
+    assert config.checks == tuple(CHECKS)
     assert config.seed == 7
     assert config.inner.degree == 2
     np.testing.assert_allclose(config.symbol, [-0.7, 1.0])
@@ -94,6 +97,16 @@ def bad_configs():
         mutate(seed=True),
         mutate(seed="0"),
         mutate(grid={"m": 16, "n": 4}, symbol=[1, 0, 0, 0, 0, 1]),
+        mutate(inner={"zeros": [0.3, float("nan")]}),
+        mutate(inner={"zeros": [[0.3, float("inf")]]}),
+        mutate(inner={"zeros": [0.3], "constant": float("nan")}),
+        mutate(inner={"zeros": [10**400]}),
+        mutate(symbol=[float("inf"), 1.0]),
+        mutate(symbol=[[1.0, float("-inf")]]),
+        mutate(p=float("nan")),
+        mutate(p=10**400),
+        mutate(grid={"m": 2048, "n": True}),
+        mutate(grid={"m": True, "n": 1000}),
     ]
 
 
@@ -110,7 +123,7 @@ def test_report_document_structure():
     assert set(doc) == {"schema", "config", "tolerances", "checks"}
     assert doc["schema"] == 1
     assert doc["tolerances"] == TOLERANCES
-    assert set(doc["checks"]) == set(ALLOWED_CHECKS)
+    assert set(doc["checks"]) == set(CHECKS)
 
     corona = doc["checks"]["corona"]
     assert corona["invertible"] and corona["consistent"]
@@ -175,13 +188,21 @@ def test_exit_code_config_errors(tmp_path, capsys):
     cfg = write_json(tmp_path, "cfg.json", doc)
     assert main(["report", "--config", cfg]) == 2
     capsys.readouterr()
+    # json reads NaN, Infinity and 1e999 (as inf); each is a config error naming its field
+    for text, field in [
+        ('{"inner": {"zeros": [0.3, NaN]}, "symbol": [1.0]}', "inner zero 1:"),
+        ('{"inner": {"zeros": [0.3]}, "symbol": [1e999, 1.0]}', "symbol coefficient 0:"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        assert main(["report", "--config", str(bad)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(tmp_path, monkeypatch):
     def boom(config):
         raise IllConditionedError("synthetic failure")
 
-    monkeypatch.setattr(cli, "_check_corona", boom)
+    monkeypatch.setitem(cli.CHECKS, "corona", (boom,) + cli.CHECKS["corona"][1:])
     cfg = write_json(tmp_path, "cfg.json", base_config())
     out = tmp_path / "r.json"
     assert main(["report", "--config", cfg, "--out", str(out)]) == 3
@@ -399,6 +420,12 @@ def bad_families():
         {"kind": "probe_radius"},
         {"kind": "probe_radius", "radii": [1.5]},
         {"kind": "probe_radius", "radii": [0.2], "angle": "x"},
+        {"kind": "symbol_zero", "zero": 0.3, "offsets": [float("nan")]},
+        {"kind": "symbol_zero", "zero": 0.3, "offsets": [0.1, [0.0, float("inf")]]},
+        {"kind": "symbol_zero", "zero": float("-inf"), "offsets": [0.1]},
+        {"kind": "probe_radius", "radii": [0.2], "angle": float("nan")},
+        {"kind": "probe_radius", "radii": [0.2], "angle": float("inf")},
+        {"kind": "probe_radius", "radii": [float("nan")]},
     ]
 
 
@@ -414,16 +441,43 @@ def test_sweep_bad_family_exit_code(tmp_path, capsys):
     fam = write_json(tmp_path, "fam.json", {"kind": "mystery"})
     assert main(["sweep", "--config", cfg, "--family", fam]) == 2
     capsys.readouterr()
+    nan_angle = tmp_path / "nan.json"
+    nan_angle.write_text('{"kind": "probe_radius", "radii": [0.2], "angle": NaN}', encoding="utf-8")
+    assert main(["sweep", "--config", cfg, "--family", str(nan_angle)]) == 2
+    assert "config error: family 'angle'" in capsys.readouterr().err
+
+
+def test_printed_tolerances_are_the_enforced_constants():
+    from hardyops import corona, operators
+
+    assert TOLERANCES == {
+        "bezout_residual": 1e-9,
+        "invertibility_sigma": 1e-10,
+        "adjoint_defect": 1e-8,
+        "projection_defect": 1e-9,
+        "recovery_residual": 1e-7,
+    }
+    assert TOLERANCES["bezout_residual"] is corona.BEZOUT_TOL
+    assert TOLERANCES["recovery_residual"] is operators.RECOVERY_TOL
+    assert TOLERANCES["invertibility_sigma"] is cli.INVERTIBILITY_TOL
+    assert TOLERANCES["adjoint_defect"] is cli.ADJOINT_TOL
+    assert TOLERANCES["projection_defect"] is cli.PROJECTION_TOL
+    assert CHECKS["adjoint"][2] == "adjoint_defect"
+    assert CHECKS["projection"][2] == "projection_defect"
 
 
 def test_module_entry_point(tmp_path):
     doc = base_config()
     doc["checks"] = ["corona"]
     cfg = write_json(tmp_path, "cfg.json", doc)
+    # the child imports the same sources as this process
+    src = str(Path(hardyops.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hardyops.cli", "report", "--config", cfg],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -21,7 +21,6 @@ from hardyops import (
     coanalytic_kernel_check,
     commutant_basis,
     commutation_residual,
-    commutation_singular_values,
     compressed_matrix,
     compressed_shift,
     hankel_apply,
@@ -268,11 +267,11 @@ def test_tm_compression_rejects_trivial_inner():
 
 def test_commutant_dimension_anchors():
     basis1 = tm_basis(blaschke_make([0.0]), 2.0)
-    assert len(commutant_basis(blaschke_make([0.0]), basis1)) == 1
+    assert len(commutant_basis(blaschke_make([0.0]), basis1)[0]) == 1
 
     z2 = blaschke_make([0.0, 0.0])
     basis2 = tm_basis(z2, 2.0)
-    mats = commutant_basis(z2, basis2)
+    mats, _ = commutant_basis(z2, basis2)
     assert len(mats) == 2
     S = compressed_shift(z2, basis2)
     span = np.column_stack(
@@ -283,7 +282,7 @@ def test_commutant_dimension_anchors():
         assert np.linalg.norm(span @ coords - target.ravel()) < 1e-10
 
     inner = blaschke_make([0.3, -0.5])
-    assert len(commutant_basis(inner, tm_basis(inner, 2.0))) == 2
+    assert len(commutant_basis(inner, tm_basis(inner, 2.0))[0]) == 2
 
 
 def test_commutant_random_dimension_and_commutation():
@@ -291,16 +290,22 @@ def test_commutant_random_dimension_and_commutation():
     for _ in range(8):
         inner = random_blaschke(rng, max_degree=5)
         basis = tm_basis(inner, 2.0)
-        mats = commutant_basis(inner, basis)
+        mats, _ = commutant_basis(inner, basis)
         assert len(mats) == inner.degree
         S = compressed_shift(inner, basis)
         for X in mats:
             assert commutation_residual(X, S) < 1e-8
 
 
+def _commutation_map(S):
+    """X -> X S - S X on column-major vec(X)."""
+    eye = np.eye(S.shape[0])
+    return np.kron(S.T, eye) - np.kron(eye, S)
+
+
 def test_commutation_singular_values_gap():
     inner = blaschke_make([0.3, -0.5])
-    sv = commutation_singular_values(inner, tm_basis(inner, 2.0))
+    _, sv = commutant_basis(inner, tm_basis(inner, 2.0))
     assert sv.shape == (4,)
     assert sv[1] > 1e-3  # kept part well away from the nullspace
     assert sv[2] < 1e-12
@@ -310,24 +315,28 @@ def test_commutant_basis_reports_its_singular_values():
     rng = np.random.default_rng(68)
     inner = blaschke_make(random_zeros(rng, 5, 0.9))
     basis = tm_basis(inner, 2.0)
-    mats, sv = commutant_basis(inner, basis, with_singular_values=True)
-    plain = commutant_basis(inner, basis)
+    mats, sv = commutant_basis(inner, basis)
+    plain, _ = commutant_basis(inner, basis)
     assert len(mats) == len(plain) == 5
     for X, Y in zip(mats, plain):
         np.testing.assert_array_equal(X.entries, Y.entries)
     assert sv.shape == (25,) and np.all(np.diff(sv) <= 0.0)
-    np.testing.assert_allclose(sv, commutation_singular_values(inner, basis), atol=1e-14)
+    reference = np.linalg.svd(
+        _commutation_map(compressed_shift(inner, basis).entries), compute_uv=False
+    )
+    np.testing.assert_allclose(sv, reference, atol=1e-14)
 
 
-def test_rank_ambiguity_error():
+def test_rank_ambiguity_error(monkeypatch):
     inner = blaschke_make([0.3, -0.5, 0.2 + 0.4j])
     basis = tm_basis(inner, 2.0)
     # place the threshold just above a nonzero singular value so the cut
     # lands inside the genuine spectrum, where no clean gap exists
-    sv = commutation_singular_values(inner, basis)
-    bad_rtol = float(sv[-4] / sv[0]) * 1.0001
+    _, sv = commutant_basis(inner, basis)
+    monkeypatch.setattr(operators, "NULLSPACE_RTOL", float(sv[-4] / sv[0]) * 1.0001)
+    assert operators.RANK_GAP_TOL == 1e-6
     with pytest.raises(RankAmbiguityError):
-        commutant_basis(inner, basis, rtol=bad_rtol, gap_tol=1e-6)
+        commutant_basis(inner, basis)
 
 
 def test_symbol_recover_anchors():
@@ -394,7 +403,8 @@ def test_commutant_and_recovery_degree_20():
     rng = np.random.default_rng(64)
     inner = blaschke_make(random_zeros(rng, 20, 0.9))
     basis = tm_basis(inner, 2.0)
-    assert len(commutant_basis(inner, basis)) == 20
+    mats, _ = commutant_basis(inner, basis)
+    assert len(mats) == 20
     phi0 = random_poly(rng, 19)
     T = compressed_matrix(inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis)
     phi, resid = symbol_recover(inner, T, basis)
@@ -413,9 +423,9 @@ def test_tm_commutant_and_recovery_skip_fft_compressions(monkeypatch):
         raise AssertionError("compressed_matrix called on a TM basis")
 
     monkeypatch.setattr(operators, "compressed_matrix", boom)
-    mats = commutant_basis(inner, basis)
+    mats, sv = commutant_basis(inner, basis)
     assert len(mats) == 6
-    assert commutation_singular_values(inner, basis).shape == (36,)
+    assert sv.shape == (36,)
     for X in mats:
         symbol_recover(inner, X, basis)
     phi, _ = symbol_recover(inner, T, basis)
