@@ -9,6 +9,7 @@ from hardyops import (
     BoundaryFunction,
     CommonZeroError,
     DEFAULT_GRID,
+    IllConditionedError,
     NotInModelSpaceError,
     bezout_solve,
     blaschke_eval,
@@ -25,8 +26,157 @@ from hardyops import (
     tm_basis,
     toeplitz_apply,
 )
+from hardyops import corona
+from hardyops.blaschke import as_poly
 
 P = np.polynomial.polynomial
+
+
+def _reference_corona_delta(symbol_coeffs, inner):
+    """Independent route for delta, with no prefilter and no broadcast:
+    |a| + |I| on the whole 64x256 polar grid plus seeds, then 48 zoom
+    steps of 9x9 points shrinking by 0.6, each evaluated factor by factor
+    through blaschke_eval."""
+
+    def _objective(poly, inner, z):
+        return np.abs(P.polyval(z, poly)) + np.abs(blaschke_eval(inner, z))
+
+    poly = as_poly(symbol_coeffs)
+    if len(poly) == 1 and poly[0] == 0.0:
+        raise ValueError("symbol polynomial is identically zero")
+    if min_abs_at_zeros(poly, inner) <= corona.ZERO_TOL:
+        return 0.0
+
+    radii = np.linspace(0.0, 1.0, 64)
+    angles = 2.0 * np.pi * np.arange(256) / 256
+    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    seeds = list(inner.zeros)
+    if len(poly) > 1:
+        for r in P.polyroots(poly):
+            seeds.append(r if abs(r) <= 1.0 else r / abs(r))
+    if seeds:
+        z = np.concatenate([z, np.array(seeds, dtype=complex)])
+    vals = _objective(poly, inner, z)
+    best_idx = int(np.argmin(vals))
+    center = complex(z[best_idx])
+    best = float(vals[best_idx])
+
+    h = 0.06
+    offsets = np.linspace(-1.0, 1.0, 9)
+    box = (offsets[:, None] + 1j * offsets[None, :]).ravel()
+    for _ in range(48):
+        local = center + h * box
+        r = np.abs(local)
+        local = np.where(r > 1.0, local / np.maximum(r, 1e-300), local)
+        lv = _objective(poly, inner, local)
+        i = int(np.argmin(lv))
+        if lv[i] < best:
+            best = float(lv[i])
+            center = complex(local[i])
+        h *= 0.6
+    return best
+
+
+def _delta_pairs(rng, count):
+    """(symbol, inner) pairs over the shapes the search has to handle:
+    inner degree 0 to 8, repeated zeros, zeros on the circle of radius
+    0.985, and symbols that are constant, generic, or have every root
+    outside the disc or on the circle."""
+    pairs = []
+    for k in range(count):
+        degree = int(rng.integers(0, 9))
+        zeros = list(random_zeros(rng, degree, radius=0.9))
+        if degree and k % 3 == 0:
+            zeros[0] = 0.985 * np.exp(2j * np.pi * rng.uniform())
+        if degree > 1 and k % 4 == 1:
+            zeros[-1] = zeros[0]
+        inner = blaschke_make(zeros, np.exp(2j * np.pi * rng.uniform()))
+        kind = k % 5
+        if kind == 0:
+            a = random_poly(rng, 0)
+        elif kind in (1, 2):
+            a = random_poly(rng, int(rng.integers(1, 5)))
+        else:
+            d = int(rng.integers(1, 4))
+            moduli = 1.0 if kind == 3 else rng.uniform(1.05, 2.0, d)
+            roots = moduli * np.exp(2j * np.pi * rng.uniform(size=d))
+            a = random_poly(rng, 0)[0] * P.polyfromroots(roots)
+        pairs.append((a, inner))
+    return pairs
+
+
+def test_delta_matches_reference_route():
+    rng = np.random.default_rng(76)
+    pairs = _delta_pairs(rng, 1000)
+    assert {inner.degree for _, inner in pairs} == set(range(9))
+    for a, inner in pairs:
+        assert corona_delta(a, inner) == pytest.approx(
+            _reference_corona_delta(a, inner), rel=0.0, abs=1e-12
+        )
+
+
+def test_delta_within_tolerance_of_dense_sample():
+    # delta is a value of the objective, so it is an upper estimate of the
+    # infimum; DELTA_TOL bounds how far above the dense sample it may sit
+    rng = np.random.default_rng(77)
+    for a, inner in _delta_pairs(rng, 40):
+        radius = np.sqrt(rng.uniform(0.0, 1.0, 50_000))
+        radius[-5_000:] = 1.0
+        z = radius * np.exp(2j * np.pi * rng.uniform(size=50_000))
+        f = np.abs(P.polyval(z, a)) + np.abs(blaschke_eval(inner, z))
+        assert corona_delta(a, inner) <= f.min() + corona.DELTA_TOL
+
+
+def test_delta_constant_inner_anchors():
+    # |I| is identically 1, so delta is 1 + inf |a|
+    assert corona_delta([1.0], blaschke_make([])) == 2.0
+    assert corona_delta([0.0, 1.0], blaschke_make([])) == 1.0
+
+
+def test_delta_evaluates_inner_once_per_call(monkeypatch):
+    # one blaschke_eval, on the prefiltered scan; the refinement evaluates
+    # I in broadcasts over the factors, not factor by factor
+    sizes = []
+    real = corona.blaschke_eval
+
+    def counted(inner, z):
+        sizes.append(np.size(z))
+        return real(inner, z)
+
+    monkeypatch.setattr(corona, "blaschke_eval", counted)
+    rng = np.random.default_rng(78)
+    for degree in (0, 1, 6, 40):
+        inner = blaschke_make(random_zeros(rng, degree, radius=0.95))
+        for a in ([2.0], random_poly(rng, 2)):
+            sizes.clear()
+            corona_delta(a, inner)
+            assert len(sizes) <= 1
+            if degree and len(a) > 1:
+                assert sizes[0] < corona._SCAN_RADII.size * corona._SCAN_CIRCLE.size
+
+
+def test_non_finite_symbol_rejected():
+    inner = blaschke_make([0.0, 0.5])
+    for bad in ([np.nan, 1.0], [0.5, np.inf], [complex(0.0, np.nan)]):
+        with pytest.raises(ValueError, match="finite"):
+            corona_delta(bad, inner)
+        with pytest.raises(ValueError, match="finite"):
+            min_abs_at_zeros(bad, inner)
+        with pytest.raises(ValueError, match="finite"):
+            bezout_solve(bad, inner)
+        with pytest.raises(ValueError, match="finite"):
+            bezout_solve(bad, inner, delta=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        min_abs_at_zeros([np.nan, 1.0], blaschke_make([]))
+
+
+def test_bezout_nan_residual_fails_gate(monkeypatch):
+    # a NaN boundary residual must fail the gate, not pass as "not above"
+    monkeypatch.setattr(
+        corona, "blaschke_eval", lambda inner, z: np.full(np.shape(z), np.nan + 0j)
+    )
+    with pytest.raises(IllConditionedError):
+        bezout_solve([-0.7, 1.0], blaschke_make([0.3, -0.5]), delta=0.5)
 
 
 def test_delta_anchors():
