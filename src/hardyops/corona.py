@@ -39,7 +39,8 @@ from .operators import tm_compression, toeplitz_apply
 #: Values of min_k |a(z_k)| at or below this are treated as a common zero.
 ZERO_TOL = 1e-10
 
-#: Absolute accuracy target for the infimum search.
+#: How far corona_delta may lie above the minimum of |a| + |I| over a
+#: dense sample of the closed disc (checked by the tests, not certified).
 DELTA_TOL = 1e-6
 
 #: Largest allowed Bezout identity residual on the circle.
@@ -64,9 +65,8 @@ _ZOOM_BOX = (_ZOOM_OFFSETS[:, None] + 1j * _ZOOM_OFFSETS[None, :]).ravel()
 _ZOOM_H = np.cumprod([0.06] + [0.6] * 47)
 
 #: Most factor evaluations (points times zeros of I) in one refinement
-#: broadcast.  Of 2**10 to 2**14, 2**12 (64 KB temporaries) was fastest on
-#: degree-6 and degree-40 inputs; larger batches spend more on memory than
-#: they save in calls.
+#: broadcast (64 KB per temporary).  From degree 26 on, a batch is one
+#: box.
 _ZOOM_BATCH = 2**12
 
 
@@ -114,8 +114,9 @@ def _symbol_poly(symbol_coeffs) -> np.ndarray:
 
 def _horner(poly: np.ndarray, z: np.ndarray) -> np.ndarray:
     """a(z) elementwise by Horner's rule, in place: the operations of
-    P.polyval without its per-call overhead and temporaries."""
-    out = np.full(z.shape, poly[-1])
+    P.polyval without its per-call overhead and temporaries.  Every
+    polynomial evaluation in this module goes through it."""
+    out = np.full(np.shape(z), poly[-1])
     for c in poly[-2::-1]:
         out *= z
         out += c
@@ -131,17 +132,18 @@ def min_abs_at_zeros(symbol_coeffs, inner: BlaschkeProduct) -> float:
 
 
 def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
-    """inf over the closed disc of f = |a| + |I|: a value of f at most
-    DELTA_TOL above the infimum.
+    """inf over the closed disc of f = |a| + |I|, estimated from above.
 
     Returns exactly 0.0 when the symbol nearly vanishes at a zero of the
     inner function (the only way the infimum can vanish for a finite
     product).  Otherwise a fixed polar scan seeded with the zeros of both
-    factors is refined by shrinking boxes around the best point.  Since
+    factors is refined by 48 shrinking boxes around the best point.  Since
     f >= |a| everywhere and f(z_k) = |a(z_k)|, no scan point with
     |a| > min_k |a(z_k)| can be the argmin, so I is evaluated on the
     others alone.  The refinement evaluates I on batches of boxes, one
-    broadcast over the factors per batch.
+    broadcast over the factors per batch.  The result is a value of f, so
+    an upper estimate of the infimum; the tests hold it within DELTA_TOL
+    of the minimum of f over a dense seeded sample.
     """
     poly = _symbol_poly(symbol_coeffs)
     if len(poly) == 1 and poly[0] == 0.0:
@@ -170,10 +172,11 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
     # Boxes are evaluated in batches as if the centre stayed put.  The
     # first box that improves on `best` moves it, and the boxes after that
     # one are evaluated again around the new centre: the box-by-box search
-    # exactly.  Moves come in runs, so a batch after a move holds one box
-    # and the size doubles while no box moves.  Most searches never move
-    # (the argmin is a seed) and take batches as large as _ZOOM_BATCH
-    # allows: six at degree 6.
+    # exactly.  A search that moves does so on most of its first 30-odd
+    # boxes and then stops, so a batch after a move holds one box and the
+    # size doubles while no box moves.  A search whose argmin is a zero of
+    # I never moves and takes batches as large as _ZOOM_BATCH allows: six
+    # at degree 6.
     zeros = np.array(inner.zeros, dtype=complex)[:, None, None]
     zeros_conj = zeros.conj()
     most = max(1, _ZOOM_BATCH // (_ZOOM_BOX.size * max(inner.degree, 1)))
@@ -259,7 +262,7 @@ def bezout_solve(
 
     u_vals = u.evaluate(SUP_POINTS)
     v_vals = v.evaluate(SUP_POINTS)
-    lhs = P.polyval(SUP_POINTS, poly) * u_vals + blaschke_eval(inner, SUP_POINTS) * v_vals
+    lhs = _horner(poly, SUP_POINTS) * u_vals + blaschke_eval(inner, SUP_POINTS) * v_vals
     residual = float(np.abs(lhs - 1.0).max())
     if not residual <= BEZOUT_TOL:
         raise IllConditionedError(
@@ -404,7 +407,7 @@ def near_degenerate_probe(
         f = _project_samples(ib, probe_fn)
         taf = toeplitz_apply(a_bar, f)
         corona_value = float(
-            abs(P.polyval(z, poly)) + abs(blaschke_eval(inner, z))
+            abs(_horner(poly, z)) + abs(blaschke_eval(inner, z))
         )
         rows.append(
             ProbeRow(
