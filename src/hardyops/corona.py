@@ -22,18 +22,11 @@ from .blaschke import (
     RationalFunction,
     as_poly,
     blaschke_eval,
-    factor_difference,
-    normalized_kernel,
+    sorted_zeros,
 )
-from .errors import CommonZeroError, IllConditionedError, NotInModelSpaceError
-from .hardy import (
-    BoundaryFunction,
-    CircleGrid,
-    _as_params,
-    grid_for_radius,
-    hp_norm,
-)
-from .model_space import _project_samples
+from .errors import CommonZeroError, IllConditionedError, NotInModelSpaceError, UnitDiscError
+from .hardy import BoundaryFunction, _as_params, grid_for_radius, hp_norm
+from .model_space import _project_samples, tm_eval
 from .operators import tm_compression, toeplitz_apply
 
 #: Values of min_k |a(z_k)| at or below this are treated as a common zero.
@@ -332,8 +325,8 @@ def corona_roundtrip_residual(
 
 @dataclass(frozen=True, eq=False)
 class ProbeRow:
-    """One near-degenerate test vector: the projected product of the factor
-    difference quotient at z with the normalized kernel at z."""
+    """One near-degenerate test vector f at the probe point z and the
+    p-norms of f and of T_conj(a) f."""
 
     z: complex
     corona_value: float
@@ -345,9 +338,11 @@ class ProbeRow:
 class ProbeReport:
     """Lower-bound stress test for the compressed coanalytic operator.
 
-    Rows track how the norm of T_conj(a) applied to kernel-type probes
-    behaves as the probe point approaches the circle; sigma_min is the
-    smallest singular value of the compressed matrix a(S_I)^* and
+    Each row holds a probe f = (1-|z|^2)^(1/q) * (I - I(z))/(zeta - z), the
+    conjugate of the reproducing kernel of the model space at z, which
+    lies in the model space; the rows track the ratio
+    ||T_conj(a) f||_p / ||f||_p as z approaches the circle.  sigma_min is
+    the smallest singular value of the compressed matrix a(S_I)^* and
     zero_bound the min of |a| over the zeros of I, the invertibility
     threshold at p = 2.
     """
@@ -373,39 +368,60 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
+def _conjugate_kernel_coords(inner: BlaschkeProduct, z: complex, q: float) -> np.ndarray:
+    """Takenaka-Malmquist coordinates of (1-|z|^2)^(1/q) * (I - I(z))/(zeta - z).
+
+    The function is C k_z with k_z the reproducing kernel of the model
+    space and C the conjugation f -> I * conj(zeta * f) on the circle, so
+    coordinate j is (C e_j)(z) = c * sqrt(1-|lambda_j|^2)/(1 - conj(lambda_j) z)
+    * prod_{i>j} b_{lambda_i}(z) in the order of `sorted_zeros`.
+    """
+    lam = np.array(sorted_zeros(inner), dtype=complex)
+    den = 1.0 - lam.conj() * z
+    later = np.append(np.cumprod(((z - lam) / den)[:0:-1])[::-1], 1.0)
+    scale = (1.0 - abs(z) ** 2) ** (1.0 / q) * inner.constant
+    return scale * np.sqrt(1.0 - np.abs(lam) ** 2) / den * later
+
+
 def near_degenerate_probe(
     inner: BlaschkeProduct,
     symbol_coeffs,
     probes,
     params=None,
-    grid: CircleGrid | None = None,
 ) -> ProbeReport:
     """Evaluate kernel-type probes against the compressed coanalytic operator.
 
-    For each probe point z the test vector is P_I of (difference quotient
-    of I at z) times (normalized kernel at z); rows keep the input order.
-    The grid adapts to the largest probe modulus so kernels close to the
-    circle stay resolved.
+    For each probe point z (rows keep the input order) the test vector is
+    f = (1-|z|^2)^(1/q) * (I - I(z))/(zeta - z): the factor difference
+    quotient of I at z times the normalized kernel at z, whose pole at
+    1/conj(z) cancels.  f is the conjugate kernel C k_z of the model
+    space, so the projection leaves it unchanged, and its coordinates in
+    the Takenaka-Malmquist basis have a closed form; those of
+    T_conj(a) f are a(S_I)^* times them.  Both functions are evaluated
+    through `tm_eval`, with no FFT, and each p-norm is the trapezoid mean
+    of |f|^p on m equispaced nodes.  For even integer p, |f|^p is rational
+    on the circle with poles only at the zeros of I and their reflections,
+    and m is that of `grid_for_radius(max |lambda_k|)`.  For any other p,
+    |f|^p also has branch points at the zeros of f, which approach the
+    circle as |z| does, and m is that of
+    `grid_for_radius(max(|z|, |lambda_k|))` over all probes.
     """
     params = _as_params(params if params is not None else 2.0)
-    poly = as_poly(symbol_coeffs)
+    poly = _symbol_poly(symbol_coeffs)
     probes = [complex(z) for z in probes]
-    if grid is None:
-        radius = max(
-            [abs(z) for z in probes] + [abs(z) for z in inner.zeros] + [0.0]
-        )
-        grid = grid_for_radius(radius)
-    ib = inner.boundary(grid)
-    a_bar = BoundaryFunction.from_poly(grid, poly).conj()
-    sigma = tm_compression(inner, coanalytic=poly).sigma_min()
-    bound = min_abs_at_zeros(poly, inner)
+    for z in probes:
+        if not abs(z) < 1.0:
+            raise UnitDiscError(f"probe point {z} must lie in the open disc")
+    adjoint = tm_compression(inner, coanalytic=poly)
+    radius = max(abs(lam) for lam in inner.zeros)
+    if params.p % 2.0 != 0.0:
+        radius = max([radius] + [abs(z) for z in probes])
+    nodes = grid_for_radius(radius).points
     rows = []
     for z in probes:
-        quotient = factor_difference(inner, z)
-        kernel = normalized_kernel(z, params)
-        probe_fn = (quotient * kernel).boundary(grid)
-        f = _project_samples(ib, probe_fn)
-        taf = toeplitz_apply(a_bar, f)
+        x = _conjugate_kernel_coords(inner, z, params.q)
+        values = tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes)
+        f_norm, taf_norm = np.mean(np.abs(values) ** params.p, axis=1) ** (1.0 / params.p)
         corona_value = float(
             abs(_horner(poly, z)) + abs(blaschke_eval(inner, z))
         )
@@ -413,8 +429,10 @@ def near_degenerate_probe(
             ProbeRow(
                 z=z,
                 corona_value=corona_value,
-                f_norm=hp_norm(f, params),
-                taf_norm=hp_norm(taf, params),
+                f_norm=float(f_norm),
+                taf_norm=float(taf_norm),
             )
         )
-    return ProbeReport(tuple(rows), sigma, bound, params.p)
+    return ProbeReport(
+        tuple(rows), adjoint.sigma_min(), min_abs_at_zeros(poly, inner), params.p
+    )

@@ -83,8 +83,37 @@ def project(inner: BlaschkeProduct, f: BoundaryFunction) -> BoundaryFunction:
     return _project_samples(inner.boundary(f.grid), f)
 
 
+def tm_eval(inner: BlaschkeProduct, coords, points) -> np.ndarray:
+    """sum_k coords[k] * e_k at `points` on the circle, in O(n * len(points)).
+
+    e_k is the k-th Takenaka-Malmquist function of the ordered zeros,
+    sqrt(1-|lambda_k|^2)/(1 - conj(lambda_k) z) * prod_{j<k} b_{lambda_j}(z),
+    evaluated from this product formula with no grid or FFT.  `coords` has
+    the dimension as its first axis; further axes evaluate several elements
+    at once and come first in the result, whose shape is
+    coords.shape[1:] + points.shape.
+    """
+    pts = np.asarray(points, dtype=complex)
+    coords = np.asarray(coords, dtype=complex)
+    if coords.shape[:1] != (inner.degree,):
+        raise ValueError(
+            f"coordinates of shape {coords.shape} for a model space of dimension {inner.degree}"
+        )
+    flat = coords.reshape(inner.degree, -1)
+    out = np.zeros(flat.shape[1:] + pts.shape, dtype=complex)
+    partial = np.ones_like(pts)
+    for zk, ck in zip(sorted_zeros(inner), flat):
+        den = 1.0 - np.conj(zk) * pts
+        # zero coordinates add nothing, so identity coordinates cost O(n * m)
+        used = np.flatnonzero(ck)
+        out[used] += np.multiply.outer(ck[used], np.sqrt(1.0 - abs(zk) ** 2) / den * partial)
+        partial = partial * (pts - zk) / den
+    return out.reshape(coords.shape[1:] + pts.shape)
+
+
 def tm_basis(inner: BlaschkeProduct, params, grid: CircleGrid | None = None) -> ModelSpaceBasis:
-    """Takenaka-Malmquist basis from the ordered zeros.
+    """Takenaka-Malmquist basis from the ordered zeros, sampled on the grid
+    through `tm_eval`.
 
     Element k is the normalized Cauchy kernel at zero k times the partial
     Blaschke product over the earlier zeros; orthonormal under the p=2
@@ -95,14 +124,9 @@ def tm_basis(inner: BlaschkeProduct, params, grid: CircleGrid | None = None) -> 
         raise ValueError("inner function must have degree >= 1")
     params = _as_params(params)
     grid = grid if grid is not None else DEFAULT_GRID
-    pts = grid.points
-    partial = np.ones_like(pts)
-    funcs = []
-    for zk in sorted_zeros(inner):
-        kernel = np.sqrt(1.0 - abs(zk) ** 2) / (1.0 - np.conj(zk) * pts)
-        funcs.append(BoundaryFunction.from_samples(grid, kernel * partial))
-        partial = partial * (pts - zk) / (1.0 - np.conj(zk) * pts)
-    return ModelSpaceBasis(inner, TM_KIND, tuple(funcs), params)
+    samples = tm_eval(inner, np.eye(inner.degree), grid.points)
+    funcs = tuple(BoundaryFunction.from_samples(grid, row) for row in samples)
+    return ModelSpaceBasis(inner, TM_KIND, funcs, params)
 
 
 def cauchy_basis(inner: BlaschkeProduct, params, grid: CircleGrid | None = None) -> ModelSpaceBasis:

@@ -18,16 +18,21 @@ from hardyops import (
     corona_delta,
     corona_inverse_apply,
     corona_roundtrip_residual,
+    factor_difference,
+    grid_for_radius,
     hp_norm,
     min_abs_at_zeros,
     monomial,
     near_degenerate_probe,
     normalized_kernel,
     tm_basis,
+    tm_compression,
+    tm_eval,
     toeplitz_apply,
 )
 from hardyops import corona
 from hardyops.blaschke import as_poly
+from hardyops.model_space import _project_samples
 
 P = np.polynomial.polynomial
 
@@ -166,6 +171,8 @@ def test_non_finite_symbol_rejected():
             bezout_solve(bad, inner)
         with pytest.raises(ValueError, match="finite"):
             bezout_solve(bad, inner, delta=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            near_degenerate_probe(inner, bad, [0.2], 2.0)
     with pytest.raises(ValueError, match="finite"):
         min_abs_at_zeros([np.nan, 1.0], blaschke_make([]))
 
@@ -422,3 +429,85 @@ def test_probe_singular_at_common_zero():
     report = near_degenerate_probe(inner, [-0.3, 1.0], [0.2], 2.0)
     assert report.sigma_min < 1e-10
     assert report.zero_bound < 1e-14
+
+
+def _reference_probe(inner, symbol, probes, p):
+    """Independent FFT route for the probe norms: the factor difference
+    quotient times the normalized kernel, sampled on
+    grid_for_radius(max(|z|, |lambda_k|)), projected by I P_minus(conj(I) f)
+    and multiplied by conj(a) through toeplitz_apply.  Returns
+    (f_norm, Taf_norm) per probe."""
+    grid = grid_for_radius(max([abs(z) for z in probes] + [abs(z) for z in inner.zeros]))
+    ib = inner.boundary(grid)
+    a_bar = BoundaryFunction.from_poly(grid, as_poly(symbol)).conj()
+    norms = []
+    for z in probes:
+        g = (factor_difference(inner, z) * normalized_kernel(z, p)).boundary(grid)
+        f = _project_samples(ib, g)
+        norms.append((hp_norm(f, p), hp_norm(toeplitz_apply(a_bar, f), p)))
+    return norms
+
+
+def _seeded_probe_cases():
+    """Inners of degree 1..6 within radius 0.95, those of degree 3 and up
+    with a repeated zero (a triple one from degree 5), each with a symbol
+    and a probe direction."""
+    rng = np.random.default_rng(88)
+    cases = []
+    for degree in range(1, 7):
+        zeros = random_zeros(rng, degree, radius=0.95)
+        if degree >= 3:
+            zeros[1] = zeros[0]
+        if degree >= 5:
+            zeros[2] = zeros[0]
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        cases.append((blaschke_make(zeros, phase), random_poly(rng, 2), np.exp(1j * angle)))
+    return cases
+
+
+def test_probe_matches_fft_route():
+    for inner, a, direction in _seeded_probe_cases():
+        probes = [r * direction for r in (0.0, 0.9, 0.999)]
+        for p in (1.5, 2.0, 3.0, 4.0, 6.0, 8.0):
+            report = near_degenerate_probe(inner, a, probes, p)
+            for row, (f_ref, taf_ref) in zip(report.rows, _reference_probe(inner, a, probes, p)):
+                assert row.f_norm == pytest.approx(f_ref, rel=1e-9, abs=0.0)
+                assert row.taf_norm == pytest.approx(taf_ref, rel=1e-9, abs=0.0)
+                if p == 2.0:
+                    assert row.taf_norm >= report.sigma_min * row.f_norm * (1.0 - 1e-12)
+
+
+def test_probe_closed_form_at_p2():
+    # ||f||_2^2 = (1-|z|^2) ||k_z||^2 = 1 - |I(z)|^2, and T_conj(a) f has
+    # coordinates a(S_I)^* x; 0.99999 would need m = 2^23 on the FFT route
+    for inner, a, direction in _seeded_probe_cases():
+        probes = [r * direction for r in (0.0, 0.5, 0.99, 0.999, 0.99999)]
+        report = near_degenerate_probe(inner, a, probes, 2.0)
+        adjoint = tm_compression(inner, coanalytic=a)
+        for z, row in zip(probes, report.rows):
+            assert abs(row.f_norm - np.sqrt(1.0 - abs(blaschke_eval(inner, z)) ** 2)) <= 1e-12
+            x = corona._conjugate_kernel_coords(inner, z, 2.0)
+            assert row.taf_norm == pytest.approx(np.linalg.norm(adjoint.apply(x)), rel=1e-12)
+
+
+def test_probe_node_count_resolves_norms():
+    # doubling the nodes moves nothing: at p = 1.5 the grid of
+    # max(|z|, |lambda_k|) resolves the branch points, at even p the grid
+    # of the inner zeros alone resolves the rational |f|^p
+    for inner, a, direction in _seeded_probe_cases():
+        probes = [r * direction for r in (0.5, 0.99, 0.999)]
+        adjoint = tm_compression(inner, coanalytic=a)
+        for p, tol in ((1.5, 1e-10), (2.0, 1e-13), (4.0, 1e-13)):
+            radius = max(abs(z) for z in inner.zeros)
+            if p == 1.5:
+                radius = max(radius, max(abs(z) for z in probes))
+            m = 2 * grid_for_radius(radius).m
+            nodes = np.exp(2j * np.pi * np.arange(m) / m)
+            report = near_degenerate_probe(inner, a, probes, p)
+            for z, row in zip(probes, report.rows):
+                x = corona._conjugate_kernel_coords(inner, z, p / (p - 1.0))
+                values = tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes)
+                f_norm, taf_norm = np.mean(np.abs(values) ** p, axis=1) ** (1.0 / p)
+                assert row.f_norm == pytest.approx(f_norm, rel=tol, abs=0.0)
+                assert row.taf_norm == pytest.approx(taf_norm, rel=tol, abs=0.0)

@@ -20,6 +20,7 @@ from hardyops import (
     pairing,
     project,
     tm_basis,
+    tm_eval,
     unnormalized_kernel,
 )
 
@@ -89,6 +90,23 @@ def test_tm_basis_multiplicity_safe():
         [[pairing(ek, ej) for ek in basis.functions] for ej in basis.functions]
     )
     np.testing.assert_allclose(G, np.eye(3), atol=1e-10)
+
+
+def test_tm_eval_matches_basis_synthesis():
+    rng = np.random.default_rng(31)
+    for degree in (1, 3, 6):
+        zeros = 0.9 * np.sqrt(rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+        zeros[degree // 2:] = zeros[0]  # repeated zeros
+        inner = blaschke_make(zeros)
+        basis = tm_basis(inner, 2.0)
+        coords = rng.standard_normal((degree, 2)) + 1j * rng.standard_normal((degree, 2))
+        values = tm_eval(inner, coords, DEFAULT_GRID.points)
+        assert values.shape == (2, DEFAULT_GRID.m)
+        for col, row in zip(coords.T, values):
+            np.testing.assert_allclose(row, basis.synthesize(col).samples, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(tm_eval(inner, coords[:, 0], DEFAULT_GRID.points), values[0])
+        with pytest.raises(ValueError, match="dimension"):
+            tm_eval(inner, np.ones(degree + 1), DEFAULT_GRID.points)
 
 
 def test_cauchy_basis():
