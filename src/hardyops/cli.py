@@ -42,7 +42,7 @@ from .hardy import (
     HardyParams,
     pairing,
 )
-from .model_space import _project_samples, tm_basis
+from .model_space import _project_samples
 from .operators import (
     RECOVERY_TOL,
     adjoint_defect,
@@ -202,6 +202,10 @@ def parse_config(doc) -> RunConfig:
         raise ConfigError(
             f"symbol degree {len(symbol) - 1} exceeds the grid band n={grid.n}"
         )
+    if "projection" in checks and grid.n < _PROJECTION_DEGREE:
+        raise ConfigError(
+            f"projection samples degree-{_PROJECTION_DEGREE} polynomials; grid band n={grid.n}"
+        )
     return RunConfig(inner, symbol, params, grid, checks, seed)
 
 
@@ -254,24 +258,17 @@ def _check_compressed(config: RunConfig) -> dict:
 
 
 def _check_commutant(config: RunConfig) -> dict:
-    basis = tm_basis(config.inner, config.params, config.grid)
-    mats, sv = commutant_basis(config.inner, basis)
-    n2 = basis.dimension ** 2
+    mats, sv = commutant_basis(config.inner)
+    n2 = config.inner.degree ** 2
     dim = len(mats)
-    entry = {
+    recovered = [symbol_recover(config.inner, X) for X in mats]
+    return {
         "dimension": dim,
         "sigma_kept_min": float(sv[n2 - dim - 1]) if dim < n2 else 0.0,
         "sigma_dropped_max": float(sv[n2 - dim]) if dim > 0 else 0.0,
+        "symbols": [_complex_list(coeffs) for coeffs, _ in recovered],
+        "recovery_residuals": [resid for _, resid in recovered],
     }
-    symbols = []
-    residuals = []
-    for X in mats:
-        phi, resid = symbol_recover(config.inner, X, basis)
-        symbols.append(_complex_list(phi.poly_coeffs(basis.dimension - 1)))
-        residuals.append(resid)
-    entry["symbols"] = symbols
-    entry["recovery_residuals"] = residuals
-    return entry
 
 
 def _check_adjoint(config: RunConfig) -> dict:

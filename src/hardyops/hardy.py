@@ -33,6 +33,9 @@ ANALYTIC_TOL = 1e-8
 #: Coefficient tail that `grid_for_radius` leaves unresolved.
 GRID_TAIL = 1e-10
 
+#: Most nodes `grid_for_radius` hands out; a radius needing more raises.
+GRID_MAX_M = 1 << 23
+
 #: `integral_mean` stops refining when two successive quadratures agree to
 #: this relative tolerance, and gives up beyond this many points.
 INTEGRAL_MEAN_RTOL = 1e-8
@@ -104,6 +107,10 @@ def grid_for_radius(radius: float) -> CircleGrid:
     if n <= DEFAULT_N:
         return DEFAULT_GRID
     m = 1 << int(np.ceil(np.log2(2 * n + 2)))
+    if m > GRID_MAX_M:
+        raise UnitDiscError(
+            f"radius {radius} is too close to the circle for stable computation (m={m})"
+        )
     return CircleGrid(m=m, n=n)
 
 

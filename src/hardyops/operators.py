@@ -15,9 +15,10 @@ Sarason's theorem the commutant of S_I is the set of compressed analytic
 Toeplitz operators phi(S_I); it is computed as the nullspace of the
 commutation map X -> X S - S X, and each commuting matrix is matched back
 to a polynomial symbol of degree below the space dimension through the
-powers of S_I.  The FFT route, `compressed_matrix` on the grid, stays as
-the independent cross-check of both closed forms and serves every other
-basis kind and every symbol that is not a trigonometric polynomial.
+powers of S_I; neither involves p or a grid.  The FFT route,
+`compressed_matrix` on the grid, stays as the independent cross-check of
+the closed forms and serves every other basis kind and every symbol that
+is not a trigonometric polynomial.
 """
 
 from __future__ import annotations
@@ -196,18 +197,17 @@ def _tm_shift(zeros) -> np.ndarray:
 
 
 def compressed_shift(inner: BlaschkeProduct, basis: ModelSpaceBasis) -> OperatorMatrix:
-    """Compression of multiplication by z.
-
-    In a Takenaka-Malmquist basis the matrix comes in closed form from the
-    ordered zeros, in O(n^2) and without the grid; other basis kinds take
-    the FFT route through `compressed_matrix`, which for the TM basis
-    agrees with the closed form to roundoff and is its cross-check.
-    """
-    if basis.kind != TM_KIND:
-        return compressed_matrix(inner, monomial(basis.grid, 1), basis)
-    if basis.inner != inner:
-        raise ValueError("basis was built for a different inner function")
+    """Compression of multiplication by z in a Takenaka-Malmquist basis of
+    `inner`, in closed form from the ordered zeros with no grid
+    (`compressed_matrix` is its cross-check); other bases raise ValueError."""
+    if basis.kind != TM_KIND or basis.inner != inner:
+        raise ValueError(f"closed-form shift needs a {TM_KIND} basis of this inner function")
     return OperatorMatrix(_tm_shift(sorted_zeros(inner)), basis, basis)
+
+
+def _tm_label(inner: BlaschkeProduct) -> str:
+    """Label of matrices in the Takenaka-Malmquist basis built without a grid."""
+    return f"{TM_KIND} basis, inner degree {inner.degree}"
 
 
 def _poly_of_matrix(coeffs, S: np.ndarray) -> np.ndarray:
@@ -233,8 +233,7 @@ def tm_compression(inner: BlaschkeProduct, analytic=(), coanalytic=()) -> Operat
         raise ValueError("inner function must have degree >= 1")
     S = _tm_shift(sorted_zeros(inner))
     entries = _poly_of_matrix(analytic, S) + _poly_of_matrix(coanalytic, S).conj().T
-    label = f"{TM_KIND} basis, inner degree {inner.degree}"
-    return OperatorMatrix(entries, label, label)
+    return OperatorMatrix(entries, _tm_label(inner), _tm_label(inner))
 
 
 def hankel_matrix(
@@ -331,10 +330,8 @@ def commutation_residual(T: OperatorMatrix, S: OperatorMatrix) -> float:
     return float(np.abs(T.entries @ S.entries - S.entries @ T.entries).max())
 
 
-def commutant_basis(
-    inner: BlaschkeProduct, basis: ModelSpaceBasis
-) -> tuple[list, np.ndarray]:
-    """Basis of matrices commuting with the compressed shift, and the
+def commutant_basis(inner: BlaschkeProduct) -> tuple[list, np.ndarray]:
+    """Basis of matrices commuting with the closed-form S_I, and the
     singular values of the commutation map X -> X S - S X, descending.
 
     The commutation map is vectorized column-major, its nullspace read off
@@ -342,7 +339,7 @@ def commutant_basis(
     spectrum at the cut (dropped vs kept singular value ratio above
     RANK_GAP_TOL) raises rather than guessing the dimension.
     """
-    S = compressed_shift(inner, basis).entries
+    S = _tm_shift(sorted_zeros(inner))
     n = S.shape[0]
     eye = np.eye(n)
     M = np.kron(S.T, eye) - np.kron(eye, S)
@@ -361,37 +358,35 @@ def commutant_basis(
                     f"> {RANK_GAP_TOL:.1e})"
                 )
     null_vecs = vh[n * n - nullity:].conj()
-    out = [OperatorMatrix(vec.reshape((n, n), order="F"), basis, basis) for vec in null_vecs]
-    return out, s
+    label = _tm_label(inner)
+    return [OperatorMatrix(v.reshape((n, n), order="F"), label, label) for v in null_vecs], s
 
 
-def symbol_recover(
-    inner: BlaschkeProduct, T: OperatorMatrix, basis: ModelSpaceBasis
-) -> tuple[BoundaryFunction, float]:
-    """Polynomial symbol of degree < n whose compression equals T.
+def symbol_recover(inner: BlaschkeProduct, T: OperatorMatrix) -> tuple[np.ndarray, float]:
+    """Ascending coefficients of phi, of degree < n, with phi(S_I) = T in the
+    Takenaka-Malmquist basis, and the relative fit residual.
 
-    Requires T to commute with the compressed shift (relative residual
-    below COMMUTATION_TOL); the coefficients solve the linear system
-    stacking the compressions of the monomials chi_0..chi_{n-1}, and the
-    fit residual must stay below RECOVERY_TOL.  Compression is
-    multiplicative on analytic symbols, so the compression of chi_d is
-    S^d, taken as powers of `compressed_shift` (closed form in a
-    Takenaka-Malmquist basis) rather than n FFT compressions.
+    T must be n x n (ValueError otherwise) and commute with S_I (relative
+    residual below COMMUTATION_TOL).  The coefficients solve the least-squares
+    system stacking I, S_I, ..., S_I^(n-1); the fit residual must stay below
+    RECOVERY_TOL.
     """
-    S = compressed_shift(inner, basis)
+    S = _tm_shift(sorted_zeros(inner))
+    n = S.shape[0]
+    if T.entries.shape != (n, n):
+        raise ValueError(f"matrix of shape {T.entries.shape} for a space of dimension {n}")
     scale = max(1.0, float(np.abs(T.entries).max()))
-    resid = commutation_residual(T, S)
+    resid = float(np.abs(T.entries @ S - S @ T.entries).max())
     if resid > COMMUTATION_TOL * scale:
         raise CommutationError(
             f"matrix does not commute with the compressed shift "
             f"(residual {resid:.3e} > {COMMUTATION_TOL:.1e} * {scale:.3g})"
         )
-    n = basis.dimension
     columns = np.empty((n * n, n), dtype=complex)
     power = np.eye(n, dtype=complex)
     for d in range(n):
         columns[:, d] = power.ravel(order="F")
-        power = power @ S.entries
+        power = power @ S
     target = T.entries.ravel(order="F")
     coeffs, *_ = np.linalg.lstsq(columns, target, rcond=None)
     residual = float(np.linalg.norm(columns @ coeffs - target) / max(1.0, np.linalg.norm(target)))
@@ -399,7 +394,7 @@ def symbol_recover(
         raise IllConditionedError(
             f"symbol recovery residual {residual:.3e} exceeds {RECOVERY_TOL:.1e}"
         )
-    return BoundaryFunction.from_poly(basis.grid, coeffs), residual
+    return coeffs, residual
 
 
 def adjoint_defect(

@@ -107,6 +107,7 @@ def bad_configs():
         mutate(p=10**400),
         mutate(grid={"m": 2048, "n": True}),
         mutate(grid={"m": True, "n": 1000}),
+        mutate(grid={"m": 32, "n": 8}, checks=["projection"]),
     ]
 
 
@@ -274,18 +275,24 @@ def test_compressed_check_near_circle_zero():
     assert "error" in report["checks"]["adjoint"] and failure
 
 
-def test_production_paths_skip_fft_compressions(tmp_path, monkeypatch):
-    from hardyops import model_space, operators
+def _forbid_everywhere(monkeypatch, originals):
+    """Make every hardyops binding of the given functions raise."""
 
     def boom(*args, **kwargs):
-        raise AssertionError("FFT compression or basis expansion called")
+        raise AssertionError("grid basis, FFT compression or basis expansion called")
 
-    for original in (operators.compressed_matrix, model_space.expand):
+    for original in originals:
         for module in list(sys.modules.values()):
             if module is not None and module.__name__.split(".")[0] == "hardyops":
                 for key, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, key, boom)
+
+
+def test_production_paths_skip_fft_compressions(tmp_path, monkeypatch):
+    from hardyops import model_space, operators
+
+    _forbid_everywhere(monkeypatch, (operators.compressed_matrix, model_space.expand))
     doc = base_config()
     doc["checks"] = ["corona", "compressed", "adjoint"]
     cfg = write_json(tmp_path, "cfg.json", doc)
@@ -299,6 +306,29 @@ def test_production_paths_skip_fft_compressions(tmp_path, monkeypatch):
         fam = write_json(tmp_path, f"fam{i}.json", family)
         out = tmp_path / f"sweep{i}.csv"
         assert main(["sweep", "--config", cfg, "--family", fam, "--out", str(out)]) == 0
+
+
+def test_commutant_report_needs_no_grid(tmp_path, monkeypatch):
+    from hardyops import model_space, operators
+
+    rng = np.random.default_rng(71)
+    zeros = 0.9 * np.sqrt(rng.uniform(size=20)) * np.exp(2j * np.pi * rng.uniform(size=20))
+    doc = base_config()
+    doc["inner"] = {"zeros": [[z.real, z.imag] for z in zeros]}
+    doc["checks"] = ["commutant"]
+
+    def commutant_entry():
+        out = tmp_path / "r.json"
+        assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)]) == 0
+        return json.loads(out.read_text(encoding="utf-8"))["checks"]["commutant"]
+
+    default = commutant_entry()
+    assert default["dimension"] == 20
+    _forbid_everywhere(
+        monkeypatch, (model_space.tm_basis, operators.compressed_matrix, model_space.expand)
+    )
+    doc["grid"] = {"m": 64, "n": 16}
+    assert commutant_entry() == default
 
 
 def test_common_zero_reported_not_fatal(tmp_path):
@@ -394,6 +424,15 @@ def test_sweep_probe_radius(tmp_path):
     row = lines[1].split(",")
     assert float(row[0]) == pytest.approx(0.2 * np.cos(0.4))
     assert row[6] == "2"
+
+
+def test_sweep_probe_radius_zero_too_close_to_circle_exits_3(tmp_path, capsys):
+    doc = base_config()
+    doc["inner"] = {"zeros": [1.0 - 1e-6, -0.5]}
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2]})
+    assert main(["sweep", "--config", cfg, "--family", fam]) == 3
+    assert "too close to the circle" in capsys.readouterr().err
 
 
 def test_sweep_determinism(tmp_path):

@@ -1,5 +1,7 @@
 """Core circle plumbing: grids, banded functions, pairing, norms, shifts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_analytic, random_poly
@@ -23,7 +25,7 @@ from hardyops import (
     shifts,
     sup_norm,
 )
-from hardyops.hardy import require_analytic
+from hardyops.hardy import GRID_MAX_M, require_analytic
 
 
 def test_params_validation():
@@ -55,6 +57,19 @@ def test_grid_for_radius():
     assert big.m & (big.m - 1) == 0
     with pytest.raises(UnitDiscError):
         grid_for_radius(1.0)
+
+
+def test_grid_for_radius_node_cap():
+    assert grid_for_radius(0.99999).m == 2**23 == GRID_MAX_M
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnitDiscError, match="too close to the circle") as info:
+            grid_for_radius(1.0 - 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"m={2**26}" in str(info.value) and "0.999999" in str(info.value)
+    assert peak < 1 << 20
 
 
 def test_coeff_sample_roundtrip():

@@ -23,6 +23,7 @@ from hardyops import (
     commutation_residual,
     compressed_matrix,
     compressed_shift,
+    expand,
     hankel_apply,
     hankel_matrix,
     hankel_structure_check,
@@ -266,14 +267,12 @@ def test_tm_compression_rejects_trivial_inner():
 
 
 def test_commutant_dimension_anchors():
-    basis1 = tm_basis(blaschke_make([0.0]), 2.0)
-    assert len(commutant_basis(blaschke_make([0.0]), basis1)[0]) == 1
+    assert len(commutant_basis(blaschke_make([0.0]))[0]) == 1
 
     z2 = blaschke_make([0.0, 0.0])
-    basis2 = tm_basis(z2, 2.0)
-    mats, _ = commutant_basis(z2, basis2)
+    mats, _ = commutant_basis(z2)
     assert len(mats) == 2
-    S = compressed_shift(z2, basis2)
+    S = compressed_shift(z2, tm_basis(z2, 2.0))
     span = np.column_stack(
         [m.entries.ravel() for m in mats]
     )
@@ -282,18 +281,18 @@ def test_commutant_dimension_anchors():
         assert np.linalg.norm(span @ coords - target.ravel()) < 1e-10
 
     inner = blaschke_make([0.3, -0.5])
-    assert len(commutant_basis(inner, tm_basis(inner, 2.0))[0]) == 2
+    assert len(commutant_basis(inner)[0]) == 2
 
 
 def test_commutant_random_dimension_and_commutation():
     rng = np.random.default_rng(58)
     for _ in range(8):
         inner = random_blaschke(rng, max_degree=5)
-        basis = tm_basis(inner, 2.0)
-        mats, _ = commutant_basis(inner, basis)
+        mats, _ = commutant_basis(inner)
         assert len(mats) == inner.degree
-        S = compressed_shift(inner, basis)
+        S = compressed_shift(inner, tm_basis(inner, 2.0))
         for X in mats:
+            assert X.to_json_dict()["domain"] == tm_compression(inner).to_json_dict()["domain"]
             assert commutation_residual(X, S) < 1e-8
 
 
@@ -305,7 +304,7 @@ def _commutation_map(S):
 
 def test_commutation_singular_values_gap():
     inner = blaschke_make([0.3, -0.5])
-    _, sv = commutant_basis(inner, tm_basis(inner, 2.0))
+    _, sv = commutant_basis(inner)
     assert sv.shape == (4,)
     assert sv[1] > 1e-3  # kept part well away from the nullspace
     assert sv[2] < 1e-12
@@ -315,8 +314,8 @@ def test_commutant_basis_reports_its_singular_values():
     rng = np.random.default_rng(68)
     inner = blaschke_make(random_zeros(rng, 5, 0.9))
     basis = tm_basis(inner, 2.0)
-    mats, sv = commutant_basis(inner, basis)
-    plain, _ = commutant_basis(inner, basis)
+    mats, sv = commutant_basis(inner)
+    plain, _ = commutant_basis(inner)
     assert len(mats) == len(plain) == 5
     for X, Y in zip(mats, plain):
         np.testing.assert_array_equal(X.entries, Y.entries)
@@ -329,27 +328,28 @@ def test_commutant_basis_reports_its_singular_values():
 
 def test_rank_ambiguity_error(monkeypatch):
     inner = blaschke_make([0.3, -0.5, 0.2 + 0.4j])
-    basis = tm_basis(inner, 2.0)
     # place the threshold just above a nonzero singular value so the cut
     # lands inside the genuine spectrum, where no clean gap exists
-    _, sv = commutant_basis(inner, basis)
+    _, sv = commutant_basis(inner)
     monkeypatch.setattr(operators, "NULLSPACE_RTOL", float(sv[-4] / sv[0]) * 1.0001)
     assert operators.RANK_GAP_TOL == 1e-6
     with pytest.raises(RankAmbiguityError):
-        commutant_basis(inner, basis)
+        commutant_basis(inner)
 
 
 def test_symbol_recover_anchors():
     z2 = blaschke_make([0.0, 0.0])
     basis = tm_basis(z2, 2.0)
     S = compressed_shift(z2, basis)
-    phi, resid = symbol_recover(z2, S, basis)
-    np.testing.assert_allclose(phi.poly_coeffs(1), [0.0, 1.0], atol=1e-10)
+    phi, resid = symbol_recover(z2, S)
+    np.testing.assert_allclose(phi, [0.0, 1.0], atol=1e-10)
     assert resid < 1e-10
 
     eye = OperatorMatrix(np.eye(2), basis, basis)
-    phi1, _ = symbol_recover(z2, eye, basis)
-    np.testing.assert_allclose(phi1.poly_coeffs(1), [1.0, 0.0], atol=1e-10)
+    phi1, _ = symbol_recover(z2, eye)
+    np.testing.assert_allclose(phi1, [1.0, 0.0], atol=1e-10)
+    with pytest.raises(ValueError):
+        symbol_recover(z2, OperatorMatrix(np.eye(3), basis, basis))
 
 
 def test_symbol_recover_roundtrip():
@@ -362,8 +362,8 @@ def test_symbol_recover_roundtrip():
         T = compressed_matrix(
             inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis
         )
-        phi, resid = symbol_recover(inner, T, basis)
-        np.testing.assert_allclose(phi.poly_coeffs(n - 1), phi0, atol=1e-8)
+        phi, resid = symbol_recover(inner, T)
+        np.testing.assert_allclose(phi, phi0, atol=1e-8)
         assert resid < 1e-7
 
 
@@ -403,12 +403,12 @@ def test_commutant_and_recovery_degree_20():
     rng = np.random.default_rng(64)
     inner = blaschke_make(random_zeros(rng, 20, 0.9))
     basis = tm_basis(inner, 2.0)
-    mats, _ = commutant_basis(inner, basis)
+    mats, _ = commutant_basis(inner)
     assert len(mats) == 20
     phi0 = random_poly(rng, 19)
     T = compressed_matrix(inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis)
-    phi, resid = symbol_recover(inner, T, basis)
-    np.testing.assert_allclose(phi.poly_coeffs(19), phi0, atol=1e-8)
+    phi, resid = symbol_recover(inner, T)
+    np.testing.assert_allclose(phi, phi0, atol=1e-8)
     assert resid < 1e-8
 
 
@@ -420,27 +420,56 @@ def test_tm_commutant_and_recovery_skip_fft_compressions(monkeypatch):
     T = compressed_matrix(inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis)
 
     def boom(*args, **kwargs):
-        raise AssertionError("compressed_matrix called on a TM basis")
+        raise AssertionError("grid basis or FFT compression called")
 
-    monkeypatch.setattr(operators, "compressed_matrix", boom)
-    mats, sv = commutant_basis(inner, basis)
+    for name in ("compressed_matrix", "expand", "tm_basis"):
+        monkeypatch.setattr(operators, name, boom)
+    mats, sv = commutant_basis(inner)
     assert len(mats) == 6
     assert sv.shape == (36,)
     for X in mats:
-        symbol_recover(inner, X, basis)
-    phi, _ = symbol_recover(inner, T, basis)
-    np.testing.assert_allclose(phi.poly_coeffs(5), phi0, atol=1e-8)
+        symbol_recover(inner, X)
+    phi, _ = symbol_recover(inner, T)
+    np.testing.assert_allclose(phi, phi0, atol=1e-8)
 
 
-def test_symbol_recover_roundtrip_cauchy_basis():
+def test_cauchy_compression_is_tm_compression_in_cauchy_coordinates():
     rng = np.random.default_rng(66)
     inner = blaschke_make(random_zeros(rng, 4, 0.8))
     basis = cauchy_basis(inner, 2.0)
+    tm = tm_basis(inner, 2.0)
+    # column k: the TM coordinates of the k-th Cauchy kernel
+    C = np.column_stack([expand(tm, f)[0] for f in basis.functions])
+    assert np.linalg.cond(C) < 100.0
     phi0 = random_poly(rng, 3)
     T = compressed_matrix(inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis)
-    phi, resid = symbol_recover(inner, T, basis)
-    np.testing.assert_allclose(phi.poly_coeffs(3), phi0, atol=1e-8)
-    assert resid < 1e-7
+    closed = np.linalg.solve(C, tm_compression(inner, analytic=phi0).entries @ C)
+    assert np.abs(T.entries - closed).max() < 1e-9 * np.linalg.norm(closed, 2)
+    with pytest.raises(ValueError):
+        compressed_shift(inner, basis)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_symbol_recover_roundtrip_closed_form(seed):
+    rng = np.random.default_rng([70, seed])
+    degree = [1, 2, 3, 5, 8, 12, 16, 20][seed]
+    zeros = random_zeros(rng, degree, 0.95)
+    if seed % 2:
+        zeros[degree // 2:] = zeros[0]
+    inner = blaschke_make(zeros, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    phi0 = random_poly(rng, degree - 1)
+    T = tm_compression(inner, analytic=phi0).entries
+    phi, resid = symbol_recover(inner, OperatorMatrix(T, "tm", "tm"))
+    assert phi.shape == (degree,)
+    assert resid <= operators.RECOVERY_TOL
+    rebuilt = tm_compression(inner, analytic=phi).entries
+    assert np.linalg.norm(rebuilt - T) <= operators.RECOVERY_TOL * np.linalg.norm(T)
+    # the coefficients are as well determined as the powers of S_I are
+    # independent: a 10-fold zero at degree 20 makes them nearly dependent
+    S = tm_compression(inner, analytic=[0.0, 1.0]).entries
+    powers = np.column_stack([np.linalg.matrix_power(S, d).ravel() for d in range(degree)])
+    bound = 1e-15 * np.linalg.cond(powers) * np.linalg.norm(phi0)
+    assert np.linalg.norm(phi - phi0) <= bound
 
 
 def test_symbol_recover_rejects_noncommuting():
@@ -448,7 +477,7 @@ def test_symbol_recover_rejects_noncommuting():
     basis = tm_basis(inner, 2.0)
     T = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), basis, basis)
     with pytest.raises(CommutationError):
-        symbol_recover(inner, T, basis)
+        symbol_recover(inner, T)
 
 
 def test_compressed_polynomials_commute():
