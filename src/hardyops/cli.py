@@ -34,12 +34,16 @@ from .errors import (
     CommonZeroError,
     ConfigError,
     HardyOpsError,
+    UnitDiscError,
 )
 from .hardy import (
+    DEFAULT_N,
+    GRID_MAX_M,
+    GRID_TAIL,
     BoundaryFunction,
     CircleGrid,
-    DEFAULT_GRID,
     HardyParams,
+    grid_for_radius,
     pairing,
 )
 from .model_space import _project_samples
@@ -103,12 +107,11 @@ def _complex_list(z) -> list:
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated run description: the pair (symbol, inner), the exponent,
-    the grid, the selected checks, and the seed for randomized checks."""
+    the selected checks, and the seed for randomized checks."""
 
     inner: BlaschkeProduct
     symbol: np.ndarray
     params: HardyParams
-    grid: CircleGrid
     checks: tuple
     seed: int
 
@@ -122,7 +125,6 @@ class RunConfig:
             "inner": self.inner.to_json_dict(),
             "symbol": _complex_list(self.symbol),
             "p": self.params.p,
-            "grid": {"m": self.grid.m, "n": self.grid.n},
             "checks": list(self.checks),
             "seed": self.seed,
         }
@@ -133,7 +135,7 @@ def parse_config(doc) -> RunConfig:
     ConfigError raised before any computation starts."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"inner", "symbol", "p", "grid", "checks", "seed"}
+    known = {"inner", "symbol", "p", "checks", "seed"}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -165,18 +167,12 @@ def parse_config(doc) -> RunConfig:
     )
     if np.all(symbol == 0.0):
         raise ConfigError("symbol polynomial is identically zero")
+    if len(symbol) - 1 > DEFAULT_N:
+        raise ConfigError(f"symbol degree {len(symbol) - 1} exceeds {DEFAULT_N}")
 
     p = _finite(doc.get("p", 2.0))
     if p is None:
         raise ConfigError(f"config 'p' must be a finite number, got {doc['p']!r}")
-
-    grid_doc = doc.get("grid", {"m": DEFAULT_GRID.m, "n": DEFAULT_GRID.n})
-    if (
-        not isinstance(grid_doc, dict)
-        or set(grid_doc) != {"m", "n"}
-        or not all(type(grid_doc[k]) is int for k in ("m", "n"))
-    ):
-        raise ConfigError("config 'grid' must be an object {\"m\": int, \"n\": int}")
 
     checks_doc = doc.get("checks", list(CHECKS))
     if not isinstance(checks_doc, list) or not all(isinstance(c, str) for c in checks_doc):
@@ -195,18 +191,9 @@ def parse_config(doc) -> RunConfig:
     try:
         inner = BlaschkeProduct(tuple(zeros), constant)
         params = HardyParams(p)
-        grid = CircleGrid(m=grid_doc["m"], n=grid_doc["n"])
-    except (HardyOpsError, ValueError) as exc:
+    except HardyOpsError as exc:
         raise ConfigError(str(exc)) from exc
-    if len(symbol) - 1 > grid.n:
-        raise ConfigError(
-            f"symbol degree {len(symbol) - 1} exceeds the grid band n={grid.n}"
-        )
-    if "projection" in checks and grid.n < _PROJECTION_DEGREE:
-        raise ConfigError(
-            f"projection samples degree-{_PROJECTION_DEGREE} polynomials; grid band n={grid.n}"
-        )
-    return RunConfig(inner, symbol, params, grid, checks, seed)
+    return RunConfig(inner, symbol, params, checks, seed)
 
 
 def load_json(path: str, what: str):
@@ -272,7 +259,7 @@ def _check_commutant(config: RunConfig) -> dict:
 
 
 def _check_adjoint(config: RunConfig) -> dict:
-    defect = adjoint_defect(config.inner, config.symbol, config.params, config.grid)
+    defect = adjoint_defect(config.inner, config.symbol)
     return {"defect": defect, "p": config.params.p, "q": config.params.q}
 
 
@@ -282,15 +269,25 @@ def _random_analytic(rng, grid, degree) -> BoundaryFunction:
 
 
 def _check_projection(config: RunConfig) -> dict:
+    """P_I by FFT products on the grid of `grid_for_radius(max |lambda_k|)`,
+    doubled until I's samples leave a tail_mass of at most GRID_TAIL: the
+    coefficients of a k-fold zero decay like N**(k-1) * r**N, slower than
+    the radius alone says.  Past GRID_MAX_M nodes UnitDiscError is raised."""
+    grid = grid_for_radius(max(abs(z) for z in config.inner.zeros))
+    ib = config.inner.boundary(grid)
+    while ib.tail_mass > GRID_TAIL:
+        if 2 * grid.m > GRID_MAX_M:
+            raise UnitDiscError(
+                f"zeros too close to the circle for stable computation (m={2 * grid.m})"
+            )
+        grid = CircleGrid(m=2 * grid.m, n=2 * grid.n)
+        ib = config.inner.boundary(grid)
     rng = np.random.default_rng(config.seed)
-    ib = config.inner.boundary(config.grid)
     ib_bar = ib.conj()
-    idem = 0.0
-    complement = 0.0
-    annihilator = 0.0
+    idem = complement = annihilator = 0.0
     for _ in range(_PROJECTION_SAMPLES):
-        f = _random_analytic(rng, config.grid, _PROJECTION_DEGREE)
-        h = _random_analytic(rng, config.grid, _PROJECTION_DEGREE)
+        f = _random_analytic(rng, grid, _PROJECTION_DEGREE)
+        h = _random_analytic(rng, grid, _PROJECTION_DEGREE)
         pf = _project_samples(ib, f)
         ppf = _project_samples(ib, pf)
         scale = max(1.0, f.l2_norm())

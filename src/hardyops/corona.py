@@ -25,7 +25,7 @@ from .blaschke import (
     sorted_zeros,
 )
 from .errors import CommonZeroError, IllConditionedError, NotInModelSpaceError, UnitDiscError
-from .hardy import BoundaryFunction, _as_params, grid_for_radius, hp_norm
+from .hardy import BoundaryFunction, _as_params, grid_for_radius, hp_norm, p_mean
 from .model_space import _project_samples, tm_eval
 from .operators import tm_compression, toeplitz_apply
 
@@ -399,11 +399,11 @@ def near_degenerate_probe(
     the Takenaka-Malmquist basis have a closed form; those of
     T_conj(a) f are a(S_I)^* times them.  Both functions are evaluated
     through `tm_eval`, with no FFT, and each p-norm is the trapezoid mean
-    of |f|^p on m equispaced nodes.  For even integer p, |f|^p is rational
-    on the circle with poles only at the zeros of I and their reflections,
-    and m is that of `grid_for_radius(max |lambda_k|)`.  For any other p,
-    |f|^p also has branch points at the zeros of f, which approach the
-    circle as |z| does, and m is that of
+    of |f|^p on m equispaced nodes, taken by `p_mean`.  For even integer p,
+    |f|^p is rational on the circle with poles only at the zeros of I and
+    their reflections, and m is that of `grid_for_radius(max |lambda_k|)`.
+    For any other p, |f|^p also has branch points at the zeros of f, which
+    approach the circle as |z| does, and m is that of
     `grid_for_radius(max(|z|, |lambda_k|))` over all probes.
     """
     params = _as_params(params if params is not None else 2.0)
@@ -421,7 +421,7 @@ def near_degenerate_probe(
     for z in probes:
         x = _conjugate_kernel_coords(inner, z, params.q)
         values = tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes)
-        f_norm, taf_norm = np.mean(np.abs(values) ** params.p, axis=1) ** (1.0 / params.p)
+        f_norm, taf_norm = p_mean(values, params.p)
         corona_value = float(
             abs(_horner(poly, z)) + abs(blaschke_eval(inner, z))
         )

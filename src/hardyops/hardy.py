@@ -315,14 +315,22 @@ def pairing(f: BoundaryFunction, g: BoundaryFunction) -> complex:
     return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
 
 
+def p_mean(values, p: float, axis: int = -1):
+    """(mean of |values|**p)**(1/p) along `axis`, taken relative to the
+    largest modulus so that no power overflows or underflows for large p."""
+    mod = np.abs(values)
+    top = np.maximum(mod.max(axis=axis, keepdims=True), np.finfo(float).tiny)
+    return top.squeeze(axis) * np.mean((mod / top) ** p, axis=axis) ** (1.0 / p)
+
+
 def hp_norm(f: BoundaryFunction, params) -> float:
-    """Boundary p-norm ((1/2pi) integral |f|**p)**(1/p) by grid quadrature.
+    """Boundary p-norm ((1/2pi) integral |f|**p)**(1/p) by grid quadrature
+    through `p_mean`.
 
     Exact for even integer p with band(|f|**p) < m; spectrally convergent
     quadrature otherwise.
     """
-    params = _as_params(params)
-    return float(np.mean(np.abs(f.samples) ** params.p) ** (1.0 / params.p))
+    return float(p_mean(f.samples, _as_params(params).p))
 
 
 def riesz_split(f: BoundaryFunction) -> tuple[BoundaryFunction, BoundaryFunction]:

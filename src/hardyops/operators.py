@@ -40,7 +40,7 @@ from .hardy import (
     BoundaryFunction,
     CircleGrid,
     HardyParams,
-    _as_params,
+    grid_for_radius,
     hp_norm,
     monomial,
     require_analytic,
@@ -52,6 +52,7 @@ from .model_space import (
     _project_samples,
     expand,
     tm_basis,
+    tm_eval,
 )
 
 #: Default truncation for Hankel matrices: domain monomials 0..K, codomain
@@ -69,6 +70,9 @@ NULLSPACE_RTOL = 1e-8
 
 #: Largest tolerated ratio sigma_dropped / sigma_kept at the rank cut.
 RANK_GAP_TOL = 1e-6
+
+#: Nodes per `tm_eval` call in `adjoint_defect`, which bounds its memory.
+_ADJOINT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,39 +401,29 @@ def symbol_recover(inner: BlaschkeProduct, T: OperatorMatrix) -> tuple[np.ndarra
     return coeffs, residual
 
 
-def adjoint_defect(
-    inner: BlaschkeProduct,
-    symbol_coeffs,
-    params,
-    grid: CircleGrid | None = None,
-) -> float:
-    """Bilinear-form mismatch between the compressed analytic Toeplitz
-    operator on the p space and the conjugate-symbol Toeplitz operator on
-    the q space.
+def adjoint_defect(inner: BlaschkeProduct, symbol_coeffs) -> float:
+    """Largest mismatch between <P_I(phi e_k), e_j> = phi(S_I)[j, k] from
+    `tm_compression` and <e_k, P_plus(conj(phi) e_j)> over the
+    Takenaka-Malmquist basis; the two routes share only the ordered zeros.
 
-    Pairs P_I(phi e_k) against f_j and e_k against P_plus(conj(phi) f_j)
-    over the Takenaka-Malmquist bases and returns the largest discrepancy;
-    the projection on the q side is free because the model space is
-    backward-shift invariant.  The p and q bases are the same functions
-    (`tm_basis` does not depend on the exponent), so one basis is built and
-    each image is paired against all of it in one product with its
-    coefficient matrix.
+    The right side is the trapezoid mean of phi * e_k * conj(e_j) on the
+    nodes of `grid_for_radius(max |lambda_k|)`, with e_k from `tm_eval`,
+    _ADJOINT_CHUNK nodes at a time; a symbol of degree above that grid's
+    band would alias and raises ValueError.  No p enters: as a set the
+    model space does not depend on it.
     """
-    params = _as_params(params)
-    grid = grid if grid is not None else DEFAULT_GRID
-    phi = BoundaryFunction.from_poly(grid, as_poly(symbol_coeffs))
-    phi_bar = phi.conj()
-    basis = tm_basis(inner, params, grid)
-    B_h = basis.coeff_matrix().conj().T
-    ib = inner.boundary(grid)
-    n = basis.dimension
-    # lhs[j, k] = pairing(P_I(phi e_k), f_j); rhs[j, k] = pairing(e_k, P_plus(conj(phi) f_j)).
-    lhs = np.empty((n, n), dtype=complex)
-    rhs = np.empty((n, n), dtype=complex)
-    for k, ek in enumerate(basis.functions):
-        lhs[:, k] = B_h @ _project_samples(ib, toeplitz_apply(phi, ek)).coeffs
-        rhs[k, :] = np.conj(B_h @ toeplitz_apply(phi_bar, ek).coeffs)
-    return float(np.abs(lhs - rhs).max())
+    grid = grid_for_radius(max((abs(z) for z in inner.zeros), default=0.0))
+    poly = as_poly(symbol_coeffs)
+    if len(poly) - 1 > grid.n:
+        raise ValueError(f"symbol degree {len(poly) - 1} exceeds the band n={grid.n}")
+    closed = tm_compression(inner, analytic=poly).entries
+    n = inner.degree
+    quad = np.zeros((n, n), dtype=complex)
+    for start in range(0, grid.m, _ADJOINT_CHUNK):
+        nodes = np.exp(2j * np.pi * np.arange(start, min(start + _ADJOINT_CHUNK, grid.m)) / grid.m)
+        e = tm_eval(inner, np.eye(n), nodes)
+        quad += e.conj() @ (np.polynomial.polynomial.polyval(nodes, poly) * e).T
+    return float(np.abs(closed - quad / grid.m).max())
 
 
 def coanalytic_kernel_check(symbol_coeffs, grid: CircleGrid | None = None) -> float:

@@ -273,7 +273,7 @@ def test_criterion_7_adjoint_and_duality():
         inner = blaschke_make(_random_zeros(rng, degree, min_sep=0.1))
         phi = _random_poly(rng, int(rng.integers(1, 6)))
         p = exponents[i % 3]
-        defect_max = max(defect_max, adjoint_defect(inner, phi, p))
+        defect_max = max(defect_max, adjoint_defect(inner, phi))
         sv = duality_gram(inner, p).singular_values()
         tm_cond_max = max(tm_cond_max, float(sv[0] / sv[-1]))
         sv = duality_gram(inner, p, kind="cauchy_kernels").singular_values()

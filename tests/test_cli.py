@@ -41,7 +41,6 @@ def write_json(tmp_path, name, doc):
 def test_parse_config_defaults():
     config = parse_config(base_config())
     assert config.params.p == 2.0
-    assert config.grid.m == 2048 and config.grid.n == 1000
     assert config.checks == tuple(CHECKS)
     assert config.seed == 7
     assert config.inner.degree == 2
@@ -87,16 +86,15 @@ def bad_configs():
         mutate(p=True),
         mutate(p=1.0),
         mutate(p="2"),
-        mutate(grid={"m": 64}),
-        mutate(grid={"m": 64.0, "n": 20}),
-        mutate(grid={"m": 8, "n": 100}),
+        mutate(grid={"m": 2048, "n": 1000}),
+        mutate(symbol=[0.0] * 1001 + [1.0]),
         mutate(checks=["corona", "spectral"]),
         mutate(checks=[]),
         mutate(checks="corona"),
         mutate(seed=-1),
         mutate(seed=True),
         mutate(seed="0"),
-        mutate(grid={"m": 16, "n": 4}, symbol=[1, 0, 0, 0, 0, 1]),
+        mutate(inner=[0.3]),
         mutate(inner={"zeros": [0.3, float("nan")]}),
         mutate(inner={"zeros": [[0.3, float("inf")]]}),
         mutate(inner={"zeros": [0.3], "constant": float("nan")}),
@@ -105,9 +103,11 @@ def bad_configs():
         mutate(symbol=[[1.0, float("-inf")]]),
         mutate(p=float("nan")),
         mutate(p=10**400),
-        mutate(grid={"m": 2048, "n": True}),
-        mutate(grid={"m": True, "n": 1000}),
-        mutate(grid={"m": 32, "n": 8}, checks=["projection"]),
+        mutate(inner={"zeros": 0.3}),
+        mutate(inner={"zeros": [[0.1, 0.2, 0.3]]}),
+        mutate(inner={"zeros": [0.3], "constant": 2.0}),
+        mutate(symbol=[True]),
+        mutate(checks=[1]),
     ]
 
 
@@ -239,14 +239,45 @@ def test_report_runs_corona_delta_once(tmp_path, monkeypatch):
     assert report["checks"]["bezout"]["delta"] == report["checks"]["corona"]["delta"]
 
 
-def test_projection_defect_above_tolerance_exits_3(tmp_path):
+def test_grid_key_is_unknown(tmp_path, capsys):
+    doc = base_config()
+    doc["grid"] = {"m": 2048, "n": 1000}
+    assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc)]) == 2
+    assert "unknown config keys: grid" in capsys.readouterr().err
+
+
+def test_projection_defect_above_tolerance_exits_3(tmp_path, monkeypatch):
     doc = base_config()
     doc["inner"] = {"zeros": [0.999, -0.5]}
     doc["checks"] = ["projection"]
+    cfg = write_json(tmp_path, "cfg.json", doc)
     out = tmp_path / "r.json"
-    assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)]) == 3
+    keys = ("idempotence_defect", "complement_defect", "annihilator_defect")
+    # the grid of the zero nearest the circle resolves this inner
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["projection"]
+    assert all(entry[key] <= TOLERANCES["projection_defect"] for key in keys)
+    # a projection that is off by one percent is not idempotent
+    project = cli._project_samples
+    monkeypatch.setattr(cli, "_project_samples", lambda ib, f: 1.01 * project(ib, f))
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 3
     entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["projection"]
     assert entry["idempotence_defect"] > TOLERANCES["projection_defect"]
+
+
+def test_projection_grid_doubles_for_repeated_zero(tmp_path, monkeypatch):
+    # a double zero at 0.98 leaves a tail of 7.6e-10 on the radius's 4096
+    # nodes, so the check doubles once; a cap below 8192 nodes stops it
+    doc = base_config()
+    doc["inner"] = {"zeros": [0.98, 0.98]}
+    doc["checks"] = ["projection"]
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "GRID_MAX_M", 4096)
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 3
+    entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["projection"]
+    assert entry["error"] == "UnitDiscError" and "m=8192" in entry["message"]
 
 
 def test_adjoint_defect_above_tolerance_exits_3(tmp_path, monkeypatch):
@@ -271,8 +302,18 @@ def test_compressed_check_near_circle_zero():
         [complex(*z) for z in compressed["eigenvalues"]], [0.5, 1.29], atol=1e-14
     )
     assert compressed["invertible"]
-    # adjoint still runs on the fixed grid, which aliases this inner
-    assert "error" in report["checks"]["adjoint"] and failure
+    assert "error" not in report["checks"]["adjoint"] and not failure
+
+
+def test_all_checks_near_circle_zero(tmp_path):
+    doc = base_config()
+    doc["inner"] = {"zeros": [0.99, 0.2]}
+    doc["symbol"] = [0.3, 1.0]
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report["checks"]) == set(CHECKS)
+    assert not any("error" in entry for entry in report["checks"].values())
 
 
 def _forbid_everywhere(monkeypatch, originals):
@@ -327,8 +368,29 @@ def test_commutant_report_needs_no_grid(tmp_path, monkeypatch):
     _forbid_everywhere(
         monkeypatch, (model_space.tm_basis, operators.compressed_matrix, model_space.expand)
     )
-    doc["grid"] = {"m": 64, "n": 16}
     assert commutant_entry() == default
+
+
+def test_adjoint_report_needs_no_grid_basis(tmp_path, monkeypatch):
+    from hardyops import model_space, operators
+
+    _forbid_everywhere(
+        monkeypatch,
+        (
+            model_space.tm_basis,
+            operators.toeplitz_apply,
+            model_space._project_samples,
+            operators.compressed_matrix,
+            model_space.expand,
+        ),
+    )
+    doc = base_config()
+    doc["inner"] = {"zeros": [0.99, 0.2, [0.1, -0.6]]}
+    doc["checks"] = ["adjoint"]
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)]) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["adjoint"]
+    assert entry["defect"] <= TOLERANCES["adjoint_defect"]
 
 
 def test_common_zero_reported_not_fatal(tmp_path):

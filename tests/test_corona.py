@@ -424,6 +424,23 @@ def test_probe_eigenvalue_linearity():
         assert hp_norm(image, 2.0) == pytest.approx(eps, rel=1e-8)
 
 
+def test_probe_norms_finite_at_large_p():
+    # at p = 200 and r = 0.99 |Taf|**p underflows to 0 on every node, at
+    # p = 800 |f|**p does too; both norms are taken relative to the maximum
+    inner = blaschke_make([0.3, -0.5])
+    a = [-0.7, 1.0]
+    adjoint = tm_compression(inner, coanalytic=a)
+    nodes = grid_for_radius(0.5).points
+    for p in (200.0, 800.0):
+        report = near_degenerate_probe(inner, a, [0.9, 0.99], p)
+        for z, row in zip((0.9, 0.99), report.rows):
+            x = corona._conjugate_kernel_coords(inner, z, p / (p - 1.0))
+            logs = p * np.log(np.abs(tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes)))
+            ref = np.exp((np.logaddexp.reduce(logs, axis=1) - np.log(len(nodes))) / p)
+            assert 0.0 < row.f_norm < np.inf and 0.0 < row.taf_norm < np.inf
+            assert [row.f_norm, row.taf_norm] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_probe_singular_at_common_zero():
     inner = blaschke_make([0.3, -0.5])
     report = near_degenerate_probe(inner, [-0.3, 1.0], [0.2], 2.0)

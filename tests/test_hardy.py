@@ -172,6 +172,20 @@ def test_hp_norm_anchors():
     assert hp_norm(k, 2.0) == pytest.approx(1.25, abs=1e-12)
 
 
+def test_hp_norm_homogeneous_at_large_p():
+    # |3 + z|**700 overflows, and |f|**800 of a small f underflows, unless
+    # the mean is taken relative to max |f|
+    g = DEFAULT_GRID
+    rng = np.random.default_rng(19)
+    for f in (BoundaryFunction.from_poly(g, [3.0, 1.0]), random_analytic(rng, degree=8)):
+        for p in (2.0, 200.0, 700.0, 800.0):
+            norm = hp_norm(f, p)
+            assert 0.0 < norm <= sup_norm(f)
+            for c in (1e-3, 1e3):
+                assert hp_norm(c * f, p) == pytest.approx(c * norm, rel=1e-12, abs=0.0)
+    assert hp_norm(BoundaryFunction.zero(g), 800.0) == 0.0
+
+
 def test_parseval():
     rng = np.random.default_rng(17)
     for _ in range(5):

@@ -495,20 +495,18 @@ def test_compressed_polynomials_commute():
 
 def test_adjoint_defect_anchors():
     z2 = blaschke_make([0.0, 0.0])
-    assert adjoint_defect(z2, [0.0, 1.0], 2.0) < 1e-10
-    for p in (1.5, 2.0, 4.0):
-        assert adjoint_defect(z2, [1.0], p) < 1e-12
+    assert adjoint_defect(z2, [0.0, 1.0]) < 1e-10
+    assert adjoint_defect(z2, [1.0]) < 1e-12
     inner = blaschke_make([0.3, -0.5])
-    assert adjoint_defect(inner, [0.0, 1.0, 1.0], 4.0) < 1e-8
+    assert adjoint_defect(inner, [0.0, 1.0, 1.0]) < 1e-8
 
 
 def test_adjoint_defect_random():
     rng = np.random.default_rng(61)
-    for p in (1.5, 2.0, 4.0):
-        for _ in range(3):
-            inner = random_blaschke(rng, max_degree=4)
-            phi = random_poly(rng, 4)
-            assert adjoint_defect(inner, phi, p) < 1e-8
+    for _ in range(9):
+        inner = random_blaschke(rng, max_degree=4)
+        phi = random_poly(rng, 4)
+        assert adjoint_defect(inner, phi) < 1e-8
 
 
 def _adjoint_defect_pairwise(inner, symbol_coeffs, p):
@@ -533,7 +531,7 @@ def test_adjoint_defect_matches_pairwise_reference():
     for p, degree in ((1.5, 3), (2.0, 7), (4.0, 12)):
         inner = blaschke_make(random_zeros(rng, degree, 0.9))
         phi = random_poly(rng, 3)
-        assert abs(adjoint_defect(inner, phi, p) - _adjoint_defect_pairwise(inner, phi, p)) < 1e-13
+        assert abs(adjoint_defect(inner, phi) - _adjoint_defect_pairwise(inner, phi, p)) < 1e-13
 
 
 def test_coanalytic_kernel_check():
