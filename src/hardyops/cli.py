@@ -30,20 +30,12 @@ from .corona import (
     min_abs_at_zeros,
     near_degenerate_probe,
 )
-from .errors import (
-    CommonZeroError,
-    ConfigError,
-    HardyOpsError,
-    UnitDiscError,
-)
+from .errors import CommonZeroError, ConfigError, HardyOpsError
 from .hardy import (
     DEFAULT_N,
-    GRID_MAX_M,
-    GRID_TAIL,
     BoundaryFunction,
-    CircleGrid,
     HardyParams,
-    grid_for_radius,
+    grid_resolving,
     pairing,
 )
 from .model_space import _project_samples
@@ -269,19 +261,9 @@ def _random_analytic(rng, grid, degree) -> BoundaryFunction:
 
 
 def _check_projection(config: RunConfig) -> dict:
-    """P_I by FFT products on the grid of `grid_for_radius(max |lambda_k|)`,
-    doubled until I's samples leave a tail_mass of at most GRID_TAIL: the
-    coefficients of a k-fold zero decay like N**(k-1) * r**N, slower than
-    the radius alone says.  Past GRID_MAX_M nodes UnitDiscError is raised."""
-    grid = grid_for_radius(max(abs(z) for z in config.inner.zeros))
-    ib = config.inner.boundary(grid)
-    while ib.tail_mass > GRID_TAIL:
-        if 2 * grid.m > GRID_MAX_M:
-            raise UnitDiscError(
-                f"zeros too close to the circle for stable computation (m={2 * grid.m})"
-            )
-        grid = CircleGrid(m=2 * grid.m, n=2 * grid.n)
-        ib = config.inner.boundary(grid)
+    """P_I by FFT products on the grid that `grid_resolving` finds for I's
+    samples, starting from the radius max |lambda_k|."""
+    grid, ib = grid_resolving(config.inner.boundary, max(abs(z) for z in config.inner.zeros))
     rng = np.random.default_rng(config.seed)
     ib_bar = ib.conj()
     idem = complement = annihilator = 0.0

@@ -106,12 +106,27 @@ def grid_for_radius(radius: float) -> CircleGrid:
     n = int(np.ceil(np.log(GRID_TAIL) / np.log(radius))) + 8
     if n <= DEFAULT_N:
         return DEFAULT_GRID
-    m = 1 << int(np.ceil(np.log2(2 * n + 2)))
+    return _capped_grid(radius, 1 << int(np.ceil(np.log2(2 * n + 2))), n)
+
+
+def _capped_grid(radius: float, m: int, n: int) -> CircleGrid:
     if m > GRID_MAX_M:
         raise UnitDiscError(
             f"radius {radius} is too close to the circle for stable computation (m={m})"
         )
     return CircleGrid(m=m, n=n)
+
+
+def grid_resolving(sample, radius: float) -> tuple[CircleGrid, "BoundaryFunction"]:
+    """`grid_for_radius(radius)`, doubled until `sample(grid)` leaves a
+    tail_mass of at most GRID_TAIL (a k-fold zero's coefficients decay like
+    N**(k-1) * r**N), and those samples; capped like `grid_for_radius`."""
+    grid = grid_for_radius(radius)
+    f = sample(grid)
+    while f.tail_mass > GRID_TAIL:
+        grid = _capped_grid(radius, 2 * grid.m, 2 * grid.n)
+        f = sample(grid)
+    return grid, f
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,12 +330,12 @@ def pairing(f: BoundaryFunction, g: BoundaryFunction) -> complex:
     return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
 
 
-def p_mean(values, p: float, axis: int = -1):
-    """(mean of |values|**p)**(1/p) along `axis`, taken relative to the
-    largest modulus so that no power overflows or underflows for large p."""
+def p_mean(values, p: float):
+    """(mean of |values|**p)**(1/p) along the last axis, taken relative to
+    the largest modulus so that no power overflows or underflows for large p."""
     mod = np.abs(values)
-    top = np.maximum(mod.max(axis=axis, keepdims=True), np.finfo(float).tiny)
-    return top.squeeze(axis) * np.mean((mod / top) ** p, axis=axis) ** (1.0 / p)
+    top = np.maximum(mod.max(axis=-1, keepdims=True), np.finfo(float).tiny)
+    return top[..., 0] * np.mean((mod / top) ** p, axis=-1) ** (1.0 / p)
 
 
 def hp_norm(f: BoundaryFunction, params) -> float:
