@@ -41,8 +41,8 @@ from .hardy import (
 from .model_space import _project_samples
 from .operators import (
     RECOVERY_TOL,
+    _poly_of_matrix,
     adjoint_defect,
-    commutant_basis,
     symbol_recover,
     tm_compression,
 )
@@ -237,16 +237,22 @@ def _check_compressed(config: RunConfig) -> dict:
 
 
 def _check_commutant(config: RunConfig) -> dict:
-    mats, sv = commutant_basis(config.inner)
-    n2 = config.inner.degree ** 2
-    dim = len(mats)
-    recovered = [symbol_recover(config.inner, X) for X in mats]
+    """Recover the symbols of a(S_I) and of n - 1 seeded combinations of
+    I, S_I, ..., S_I^(n-1) in one batched pass; the commutant has
+    dimension n because k_0 is cyclic, with the Newton matrix's condition
+    number as the margin."""
+    inner = config.inner
+    n = inner.degree
+    rng = np.random.default_rng(config.seed)
+    combos = rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
+    S = tm_compression(inner, analytic=[0.0, 1.0]).entries
+    mats = np.concatenate(([_poly_of_matrix(config.symbol, S)], _poly_of_matrix(combos, S)))
+    coeffs, residuals, condition = symbol_recover(inner, mats)
     return {
-        "dimension": dim,
-        "sigma_kept_min": float(sv[n2 - dim - 1]) if dim < n2 else 0.0,
-        "sigma_dropped_max": float(sv[n2 - dim]) if dim > 0 else 0.0,
-        "symbols": [_complex_list(coeffs) for coeffs, _ in recovered],
-        "recovery_residuals": [resid for _, resid in recovered],
+        "dimension": n,
+        "cyclicity_condition": condition,
+        "symbols": [_complex_list(c) for c in coeffs],
+        "recovery_residuals": residuals.tolist(),
     }
 
 

@@ -37,10 +37,6 @@ class IllConditionedError(HardyOpsError):
     """A numerical residual exceeded its acceptance threshold."""
 
 
-class RankAmbiguityError(HardyOpsError):
-    """A nullspace rank decision has no clear singular-value gap."""
-
-
 class CommutationError(HardyOpsError):
     """A matrix expected to commute with the compressed shift does not."""
 

@@ -111,6 +111,21 @@ def tm_eval(inner: BlaschkeProduct, coords, points) -> np.ndarray:
     return out.reshape(coords.shape[1:] + pts.shape)
 
 
+def tm_kernel_at_zero(inner: BlaschkeProduct) -> np.ndarray:
+    """Takenaka-Malmquist coordinates of k_0 = P_I 1, the reproducing kernel
+    of the model space at 0.
+
+    Coordinate k is <1, e_k> = conj(e_k(0)) =
+    sqrt(1-|lambda_k|^2) * prod_{j<k} (-conj(lambda_j)) in the ordered
+    zeros, a closed form with no grid.  Since P_I(z * P_I g) = P_I(z * g),
+    the coordinates of P_I f are f(S_I) applied to these for every
+    polynomial f.
+    """
+    lam = np.asarray(sorted_zeros(inner), dtype=complex)
+    run = np.cumprod(np.concatenate(([1.0], -np.conj(lam[:-1]))))
+    return np.sqrt(1.0 - np.abs(lam) ** 2) * run
+
+
 def tm_basis(inner: BlaschkeProduct, params, grid: CircleGrid | None = None) -> ModelSpaceBasis:
     """Takenaka-Malmquist basis from the ordered zeros, sampled on the grid
     through `tm_eval`.

@@ -12,13 +12,12 @@ truncated-Toeplitz picture the compression of a trigonometric polynomial
 phi_plus + conj(phi_minus) is phi_plus(S_I) + phi_minus(S_I)^*, which
 `tm_compression` evaluates by Horner's rule on that closed form.  By
 Sarason's theorem the commutant of S_I is the set of compressed analytic
-Toeplitz operators phi(S_I); it is computed as the nullspace of the
-commutation map X -> X S - S X, and each commuting matrix is matched back
-to a polynomial symbol of degree below the space dimension through the
-powers of S_I; neither involves p or a grid.  The FFT route,
-`compressed_matrix` on the grid, stays as the independent cross-check of
-the closed forms and serves every other basis kind and every symbol that
-is not a trigonometric polynomial.
+Toeplitz operators phi(S_I), and the kernel k_0 = P_I 1 is cyclic for
+S_I, so `symbol_recover` reads phi off T k_0 with one triangular solve in
+the Newton basis of the ordered zeros; neither p nor a grid enters.  The
+FFT route, `compressed_matrix` on the grid, stays as the independent
+cross-check of the closed forms and serves every other basis kind and
+every symbol that is not a trigonometric polynomial.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import (
     CommutationError,
     GridMismatchError,
     IllConditionedError,
-    RankAmbiguityError,
     TrivialInnerError,
 )
 from .hardy import (
@@ -53,6 +51,7 @@ from .model_space import (
     expand,
     tm_basis,
     tm_eval,
+    tm_kernel_at_zero,
 )
 
 #: Default truncation for Hankel matrices: domain monomials 0..K, codomain
@@ -64,12 +63,6 @@ COMMUTATION_TOL = 1e-8
 
 #: Relative residual allowed when matching a commuting matrix to a symbol.
 RECOVERY_TOL = 1e-7
-
-#: Singular values below rtol * sigma_max count toward a nullspace.
-NULLSPACE_RTOL = 1e-8
-
-#: Largest tolerated ratio sigma_dropped / sigma_kept at the rank cut.
-RANK_GAP_TOL = 1e-6
 
 #: Nodes per `tm_eval` call in `adjoint_defect`, which bounds its memory.
 _ADJOINT_CHUNK = 1 << 16
@@ -215,11 +208,13 @@ def _tm_label(inner: BlaschkeProduct) -> str:
 
 
 def _poly_of_matrix(coeffs, S: np.ndarray) -> np.ndarray:
-    """a(S) for ascending coefficients, by Horner's rule."""
-    out = np.zeros_like(S)
+    """a(S) for ascending coefficients along the last axis, by Horner's
+    rule; leading axes of `coeffs` evaluate a stack of polynomials."""
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    out = np.zeros(coeffs.shape[:-1] + S.shape, dtype=complex)
     eye = np.eye(S.shape[0], dtype=complex)
-    for c in np.atleast_1d(np.asarray(coeffs, dtype=complex))[::-1]:
-        out = out @ S + c * eye
+    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+        out = out @ S + c[..., None, None] * eye
     return out
 
 
@@ -334,71 +329,96 @@ def commutation_residual(T: OperatorMatrix, S: OperatorMatrix) -> float:
     return float(np.abs(T.entries @ S.entries - S.entries @ T.entries).max())
 
 
-def commutant_basis(inner: BlaschkeProduct) -> tuple[list, np.ndarray]:
-    """Basis of matrices commuting with the closed-form S_I, and the
-    singular values of the commutation map X -> X S - S X, descending.
+def _newton_matrix(S: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = [N_j(S_I) k_0 for j < n] and the matrix whose column j holds the
+    ascending monomial coefficients of N_j = prod_{i<j} (z - lambda_i),
+    with lambda_i the diagonal of the closed-form S_I; one pass of n
+    matrix-vector products builds both.
 
-    The commutation map is vectorized column-major, its nullspace read off
-    its SVD with relative threshold NULLSPACE_RTOL.  An ill-separated
-    spectrum at the cut (dropped vs kept singular value ratio above
-    RANK_GAP_TOL) raises rather than guessing the dimension.
+    N_j(S_I) k_0 = P_I N_j lies in the span of e_j, ..., e_{n-1}, so K is
+    lower triangular with diagonal entry j equal to
+    sqrt(1-|lambda_j|^2) * prod_{i<j} (1 - conj(lambda_i) lambda_j), which
+    is nonzero: k_0 is cyclic for S_I.
     """
-    S = _tm_shift(sorted_zeros(inner))
-    n = S.shape[0]
-    eye = np.eye(n)
-    M = np.kron(S.T, eye) - np.kron(eye, S)
-    _, s, vh = np.linalg.svd(M)
-    if s[0] == 0.0:
-        nullity = n * n
-    else:
-        nullity = int(np.sum(s <= NULLSPACE_RTOL * s[0]))
-        if 0 < nullity < n * n:
-            sigma_drop = s[n * n - nullity]
-            sigma_keep = s[n * n - nullity - 1]
-            if sigma_drop > RANK_GAP_TOL * sigma_keep:
-                raise RankAmbiguityError(
-                    f"nullspace cut is ambiguous: dropped sigma {sigma_drop:.3e} vs "
-                    f"kept sigma {sigma_keep:.3e} (ratio {sigma_drop / sigma_keep:.3e} "
-                    f"> {RANK_GAP_TOL:.1e})"
-                )
-    null_vecs = vh[n * n - nullity:].conj()
-    label = _tm_label(inner)
-    return [OperatorMatrix(v.reshape((n, n), order="F"), label, label) for v in null_vecs], s
+    lam = np.diag(S)
+    n = len(lam)
+    K = np.empty((n, n), dtype=complex)
+    N = np.zeros((n, n), dtype=complex)
+    K[:, 0], N[0, 0] = k0, 1.0
+    for j in range(n - 1):
+        K[:, j + 1] = S @ K[:, j] - lam[j] * K[:, j]
+        N[1:, j + 1] = N[:-1, j]
+        N[:, j + 1] -= lam[j] * N[:, j]
+    return np.tril(K), N
 
 
-def symbol_recover(inner: BlaschkeProduct, T: OperatorMatrix) -> tuple[np.ndarray, float]:
+def _newton_solve(K: np.ndarray, N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Ascending monomial coefficients of the phi with phi(S_I) k_0 = rhs,
+    one row of `rhs` per phi: forward substitution on the lower-triangular
+    K of `_newton_matrix` gives the Newton coefficients, N converts them."""
+    newton = np.empty_like(rhs)
+    for j in range(K.shape[0]):
+        newton[:, j] = (rhs[:, j] - newton[:, :j] @ K[j, :j]) / K[j, j]
+    return newton @ N.T
+
+
+def symbol_recover(inner: BlaschkeProduct, T) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascending coefficients of phi, of degree < n, with phi(S_I) = T in the
-    Takenaka-Malmquist basis, and the relative fit residual.
+    Takenaka-Malmquist basis, their relative residual
+    ||phi(S_I) - T||_F / max(1, ||T||_F), and cond_2(K) for the Newton
+    matrix K they were solved from.
 
-    T must be n x n (ValueError otherwise) and commute with S_I (relative
-    residual below COMMUTATION_TOL).  The coefficients solve the least-squares
-    system stacking I, S_I, ..., S_I^(n-1); the fit residual must stay below
-    RECOVERY_TOL.
+    T is an OperatorMatrix or an array of n x n matrices stacked along its
+    leading axes (ValueError for any other shape); the coefficients carry
+    those axes plus one of length n, the residuals those axes alone.  Each
+    matrix must commute with S_I (relative residual below COMMUTATION_TOL),
+    so by Sarason's theorem it is phi(S_I) for some phi, and since k_0 is
+    cyclic, T k_0 determines phi: K c = T k_0 with K = [N_j(S_I) k_0]
+    lower triangular gives phi's Newton coefficients c, which are converted
+    to monomial ones.  The residual of those returned coefficients must
+    stay below RECOVERY_TOL; cond_2(K) is the margin of k_0's cyclicity.
+    S_I and K are built once per call, whatever the stack size.
     """
     S = _tm_shift(sorted_zeros(inner))
     n = S.shape[0]
-    if T.entries.shape != (n, n):
-        raise ValueError(f"matrix of shape {T.entries.shape} for a space of dimension {n}")
-    scale = max(1.0, float(np.abs(T.entries).max()))
-    resid = float(np.abs(T.entries @ S - S @ T.entries).max())
-    if resid > COMMUTATION_TOL * scale:
+    T = np.asarray(getattr(T, "entries", T), dtype=complex)
+    if T.ndim < 2 or T.shape[-2:] != (n, n):
+        raise ValueError(f"matrix of shape {T.shape} for a space of dimension {n}")
+    stack = T.reshape(-1, n, n)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    excess = np.abs(stack @ S - S @ stack).max(axis=(1, 2)) / scale
+    failed = ~(excess <= COMMUTATION_TOL)
+    if failed.any():
         raise CommutationError(
-            f"matrix does not commute with the compressed shift "
-            f"(residual {resid:.3e} > {COMMUTATION_TOL:.1e} * {scale:.3g})"
+            f"{failed.sum()} of {len(stack)} matrices do not commute with the compressed "
+            f"shift (relative residual {excess.max():.3e} > {COMMUTATION_TOL:.1e})"
         )
-    columns = np.empty((n * n, n), dtype=complex)
-    power = np.eye(n, dtype=complex)
-    for d in range(n):
-        columns[:, d] = power.ravel(order="F")
-        power = power @ S
-    target = T.entries.ravel(order="F")
-    coeffs, *_ = np.linalg.lstsq(columns, target, rcond=None)
-    residual = float(np.linalg.norm(columns @ coeffs - target) / max(1.0, np.linalg.norm(target)))
-    if residual > RECOVERY_TOL:
+    k0 = tm_kernel_at_zero(inner)
+    K, N = _newton_matrix(S, k0)
+    coeffs = _newton_solve(K, N, stack @ k0)
+    misfit = stack - _poly_of_matrix(coeffs, S)
+    # One step of iterative refinement: at clustered zeros the conversion to
+    # monomial coefficients leaves a residual near cond(K) * eps, which the
+    # step brings back to rounding level.  Once cond(K) passes 1/eps the
+    # step has nothing left to correct, so each matrix keeps whichever
+    # coefficients fit it better.
+    refined = coeffs + _newton_solve(K, N, misfit @ k0)
+    misfits = np.linalg.norm(misfit, axis=(1, 2))
+    refined_misfits = np.linalg.norm(stack - _poly_of_matrix(refined, S), axis=(1, 2))
+    better = refined_misfits < misfits
+    coeffs = np.where(better[:, None], refined, coeffs)
+    residuals = np.where(better, refined_misfits, misfits) / np.maximum(
+        1.0, np.linalg.norm(stack, axis=(1, 2))
+    )
+    if not residuals.max() <= RECOVERY_TOL:
         raise IllConditionedError(
-            f"symbol recovery residual {residual:.3e} exceeds {RECOVERY_TOL:.1e}"
+            f"symbol recovery residual {residuals.max():.3e} exceeds {RECOVERY_TOL:.1e}"
         )
-    return coeffs, residual
+    return (
+        coeffs.reshape(T.shape[:-1]),
+        residuals.reshape(T.shape[:-2])[()],
+        float(np.linalg.cond(K)),
+    )
 
 
 def adjoint_defect(inner: BlaschkeProduct, symbol_coeffs) -> float:

@@ -32,3 +32,31 @@ def random_poly(rng, degree):
 
 def random_analytic(rng, grid=DEFAULT_GRID, degree=12):
     return BoundaryFunction.from_poly(grid, random_poly(rng, degree))
+
+
+def commutant_nullspace(S, rtol=1e-8):
+    """Reference route to the commutant of S: the nullspace of the
+    commutation map X -> X S - S X on column-major vec(X), read off the
+    full SVD of that n^2 x n^2 matrix with relative threshold `rtol`.
+
+    Returns the nullspace as a list of n x n matrices and the singular
+    values, descending.  Its cost grows as n^6, so it serves the tests only.
+    """
+    n = S.shape[0]
+    eye = np.eye(n)
+    _, sv, vh = np.linalg.svd(np.kron(S.T, eye) - np.kron(eye, S))
+    nullity = int(np.sum(sv <= rtol * sv[0])) if sv[0] > 0.0 else n * n
+    return [v.conj().reshape((n, n), order="F") for v in vh[n * n - nullity:]], sv
+
+
+def lstsq_symbol(S, T):
+    """Reference route to symbol recovery: least-squares ascending
+    coefficients of phi with phi(S) = T over the stacked powers
+    I, S, ..., S^(n-1), each flattened to a column of length n^2."""
+    n = S.shape[0]
+    powers = [np.eye(n, dtype=complex)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ S)
+    columns = np.column_stack([p.ravel() for p in powers])
+    coeffs, *_ = np.linalg.lstsq(columns, np.asarray(T).ravel(), rcond=None)
+    return coeffs

@@ -361,6 +361,73 @@ def test_commutant_report_needs_no_grid(tmp_path, monkeypatch):
     assert commutant_entry() == default
 
 
+def _commutant_report(tmp_path, zeros, symbol=(-0.7, 1.0), seed=7):
+    doc = {
+        "inner": {"zeros": [[z.real, z.imag] for z in zeros]},
+        "symbol": [[c.real, c.imag] for c in np.asarray(symbol, dtype=complex)],
+        "checks": ["commutant"],
+        "seed": seed,
+    }
+    out = tmp_path / "r.json"
+    code = main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)])
+    return code, doc, json.loads(out.read_text(encoding="utf-8"))["checks"]["commutant"]
+
+
+def _separated_zeros(rng, count, radius, separation):
+    zeros = []
+    while len(zeros) < count:
+        z = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        if all(abs(z - w) >= separation for w in zeros):
+            zeros.append(z)
+    return np.array(zeros)
+
+
+@pytest.mark.parametrize("case", ["degree_40", "tenfold_zero"])
+def test_commutant_report_large_and_clustered(tmp_path, monkeypatch, case):
+    rng = np.random.default_rng(76)
+    if case == "degree_40":
+        zeros = _separated_zeros(rng, 40, 0.95, 0.05)
+    else:
+        zeros = _separated_zeros(rng, 20, 0.9, 0.0)
+        zeros[:10] = 0.99 * np.exp(2j * np.pi * rng.uniform())
+
+    def boom(*args, **kwargs):
+        raise AssertionError("n^2 x n^2 commutation map or stacked-powers lstsq used")
+
+    monkeypatch.setattr(np, "kron", boom)
+    monkeypatch.setattr(np.linalg, "lstsq", boom)
+    code, _, entry = _commutant_report(tmp_path, zeros)
+    n = len(zeros)
+    assert code == 0 and "error" not in entry
+    assert entry["dimension"] == n
+    assert all(r <= TOLERANCES["recovery_residual"] for r in entry["recovery_residuals"])
+    assert len(entry["recovery_residuals"]) == n
+    assert np.isfinite(entry["cyclicity_condition"]) and entry["cyclicity_condition"] >= 1.0
+    symbols = np.array([[complex(*c) for c in row] for row in entry["symbols"]])
+    assert symbols.shape == (n, n)
+    sv = np.linalg.svd(symbols, compute_uv=False)
+    assert sv[-1] > n * np.finfo(float).eps * sv[0]
+
+
+@pytest.mark.parametrize("degree,seed", [(1, 0), (3, 1), (6, 2), (10, 3), (14, 4)])
+def test_commutant_symbols_reproduce_their_matrices(tmp_path, degree, seed):
+    rng = np.random.default_rng([77, seed])
+    zeros = _separated_zeros(rng, degree, 0.9, 0.05)
+    symbol = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    code, doc, entry = _commutant_report(tmp_path, zeros, symbol, seed)
+    assert code == 0
+    inner = parse_config(doc).inner
+    # row 0 is a(S_I); the others are combinations of I, S_I, ..., S_I^(n-1)
+    # with coefficients drawn from the config's seed
+    draws = np.random.default_rng(seed)
+    combos = draws.standard_normal((degree - 1, degree)) + 1j * draws.standard_normal((degree - 1, degree))
+    for row, coeffs in zip(entry["symbols"], [symbol, *combos], strict=True):
+        X = hardyops.tm_compression(inner, analytic=coeffs).entries
+        rebuilt = hardyops.tm_compression(inner, analytic=[complex(*c) for c in row]).entries
+        misfit = np.linalg.norm(rebuilt - X) / max(1.0, np.linalg.norm(X))
+        assert misfit <= TOLERANCES["recovery_residual"]
+
+
 def test_adjoint_report_needs_no_grid_basis(tmp_path, monkeypatch):
     from hardyops import model_space, operators
 

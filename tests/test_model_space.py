@@ -10,6 +10,7 @@ from hardyops import (
     DEFAULT_GRID,
     IllConditionedError,
     annihilator_defect,
+    blaschke_eval,
     blaschke_make,
     cauchy_basis,
     decompose,
@@ -21,6 +22,7 @@ from hardyops import (
     project,
     tm_basis,
     tm_eval,
+    tm_kernel_at_zero,
     unnormalized_kernel,
 )
 
@@ -107,6 +109,22 @@ def test_tm_eval_matches_basis_synthesis():
         np.testing.assert_array_equal(tm_eval(inner, coords[:, 0], DEFAULT_GRID.points), values[0])
         with pytest.raises(ValueError, match="dimension"):
             tm_eval(inner, np.ones(degree + 1), DEFAULT_GRID.points)
+
+
+def test_tm_kernel_at_zero_is_projected_one():
+    # k_0 = P_I 1 = 1 - conj(I(0)) I on the circle
+    rng = np.random.default_rng(32)
+    pts = np.exp(2j * np.pi * rng.uniform(size=64))
+    for degree, radius in ((1, 0.5), (4, 0.9), (9, 0.99)):
+        zeros = radius * np.sqrt(rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+        zeros[degree // 2:] = zeros[0]  # repeated zeros
+        inner = blaschke_make(zeros, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        k0 = tm_kernel_at_zero(inner)
+        assert k0.shape == (degree,)
+        expected = 1.0 - np.conj(blaschke_eval(inner, 0.0)) * blaschke_eval(inner, pts)
+        np.testing.assert_allclose(tm_eval(inner, k0, pts), expected, rtol=0, atol=1e-13)
+        # ||k_0||^2 = k_0(0) = 1 - |I(0)|^2
+        assert abs(np.vdot(k0, k0) - (1.0 - abs(blaschke_eval(inner, 0.0)) ** 2)) < 1e-14
 
 
 def test_cauchy_basis():

@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import random_analytic, random_blaschke, random_poly, random_zeros
+from conftest import (
+    commutant_nullspace,
+    lstsq_symbol,
+    random_analytic,
+    random_blaschke,
+    random_poly,
+    random_zeros,
+)
 
 from hardyops import (
     BoundaryFunction,
@@ -12,14 +19,12 @@ from hardyops import (
     IllConditionedError,
     MonomialRange,
     OperatorMatrix,
-    RankAmbiguityError,
     TrivialInnerError,
     adjoint_defect,
     annihilator_defect,
     blaschke_make,
     cauchy_basis,
     coanalytic_kernel_check,
-    commutant_basis,
     commutation_residual,
     compressed_matrix,
     compressed_shift,
@@ -35,13 +40,16 @@ from hardyops import (
     monomial,
     riesz_split,
     pairing,
+    project,
     symbol_recover,
     tm_basis,
     tm_compression,
+    tm_kernel_at_zero,
     toeplitz_apply,
     unnormalized_kernel,
 )
 from hardyops import operators
+from hardyops.blaschke import sorted_zeros
 from hardyops.model_space import _project_samples
 
 P = np.polynomial.polynomial
@@ -266,90 +274,124 @@ def test_tm_compression_rejects_trivial_inner():
         tm_compression(blaschke_make([]), [1.0])
 
 
+def _shift(inner):
+    return tm_compression(inner, analytic=[0.0, 1.0]).entries
+
+
 def test_commutant_dimension_anchors():
-    assert len(commutant_basis(blaschke_make([0.0]))[0]) == 1
+    assert len(commutant_nullspace(_shift(blaschke_make([0.0])))[0]) == 1
 
     z2 = blaschke_make([0.0, 0.0])
-    mats, _ = commutant_basis(z2)
+    mats, _ = commutant_nullspace(_shift(z2))
     assert len(mats) == 2
     S = compressed_shift(z2, tm_basis(z2, 2.0))
     span = np.column_stack(
-        [m.entries.ravel() for m in mats]
+        [m.ravel() for m in mats]
     )
     for target in (np.eye(2), S.entries):
         coords, res, *_ = np.linalg.lstsq(span, target.ravel(), rcond=None)
         assert np.linalg.norm(span @ coords - target.ravel()) < 1e-10
 
     inner = blaschke_make([0.3, -0.5])
-    assert len(commutant_basis(inner)[0]) == 2
+    assert len(commutant_nullspace(_shift(inner))[0]) == 2
 
 
 def test_commutant_random_dimension_and_commutation():
     rng = np.random.default_rng(58)
     for _ in range(8):
         inner = random_blaschke(rng, max_degree=5)
-        mats, _ = commutant_basis(inner)
+        mats, _ = commutant_nullspace(_shift(inner))
         assert len(mats) == inner.degree
         S = compressed_shift(inner, tm_basis(inner, 2.0))
         for X in mats:
-            assert X.to_json_dict()["domain"] == tm_compression(inner).to_json_dict()["domain"]
-            assert commutation_residual(X, S) < 1e-8
-
-
-def _commutation_map(S):
-    """X -> X S - S X on column-major vec(X)."""
-    eye = np.eye(S.shape[0])
-    return np.kron(S.T, eye) - np.kron(eye, S)
+            assert commutation_residual(OperatorMatrix(X, "tm", "tm"), S) < 1e-8
 
 
 def test_commutation_singular_values_gap():
-    inner = blaschke_make([0.3, -0.5])
-    _, sv = commutant_basis(inner)
+    _, sv = commutant_nullspace(_shift(blaschke_make([0.3, -0.5])))
     assert sv.shape == (4,)
     assert sv[1] > 1e-3  # kept part well away from the nullspace
     assert sv[2] < 1e-12
 
 
-def test_commutant_basis_reports_its_singular_values():
-    rng = np.random.default_rng(68)
-    inner = blaschke_make(random_zeros(rng, 5, 0.9))
-    basis = tm_basis(inner, 2.0)
-    mats, sv = commutant_basis(inner)
-    plain, _ = commutant_basis(inner)
-    assert len(mats) == len(plain) == 5
-    for X, Y in zip(mats, plain):
-        np.testing.assert_array_equal(X.entries, Y.entries)
-    assert sv.shape == (25,) and np.all(np.diff(sv) <= 0.0)
-    reference = np.linalg.svd(
-        _commutation_map(compressed_shift(inner, basis).entries), compute_uv=False
-    )
-    np.testing.assert_allclose(sv, reference, atol=1e-14)
+def _commuting_reference(rng, zeros):
+    """An inner with the given zeros, its closed-form shift, and a commuting
+    matrix that no polynomial evaluation built: a random combination of the
+    reference nullspace, whose dimension must be n."""
+    inner = blaschke_make(zeros, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    n = inner.degree
+    S = _shift(inner)
+    mats, _ = commutant_nullspace(S)
+    assert len(mats) == n
+    T = sum(c * X for c, X in zip(rng.standard_normal(n) + 1j * rng.standard_normal(n), mats))
+    return inner, S, T
 
 
-def test_rank_ambiguity_error(monkeypatch):
-    inner = blaschke_make([0.3, -0.5, 0.2 + 0.4j])
-    # place the threshold just above a nonzero singular value so the cut
-    # lands inside the genuine spectrum, where no clean gap exists
-    _, sv = commutant_basis(inner)
-    monkeypatch.setattr(operators, "NULLSPACE_RTOL", float(sv[-4] / sv[0]) * 1.0001)
-    assert operators.RANK_GAP_TOL == 1e-6
-    with pytest.raises(RankAmbiguityError):
-        commutant_basis(inner)
+@pytest.mark.parametrize("index", range(36))
+def test_symbol_recover_matches_reference_route(index):
+    # degree 1-12, radius 0.5, 0.9 or 0.99, a double zero on every odd index
+    rng = np.random.default_rng([72, index])
+    degree = 1 + index % 12
+    zeros = random_zeros(rng, degree, [0.5, 0.9, 0.99][index % 3])
+    if index % 2 and degree > 1:
+        zeros[0] = zeros[-1]
+    inner, S, T = _commuting_reference(rng, zeros)
+    phi, resid, condition = symbol_recover(inner, T)
+    assert resid <= operators.RECOVERY_TOL and np.isfinite(condition)
+    rebuilt = tm_compression(inner, analytic=phi).entries
+    scale = np.linalg.norm(T)
+    assert np.linalg.norm(rebuilt - T) <= 1e-12 * scale
+    reference = tm_compression(inner, analytic=lstsq_symbol(S, T)).entries
+    assert np.linalg.norm(rebuilt - reference) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("multiplicity", [3, 4, 5, 6, 7])
+def test_symbol_recover_at_clustered_zeros_within_cyclicity_condition(multiplicity):
+    # A zero of high multiplicity makes every polynomial representation of a
+    # generic commuting T ill-conditioned; the lstsq route does no better.
+    # The error then follows cond_2(K), the margin the report prints.
+    rng = np.random.default_rng([75, multiplicity])
+    zeros = random_zeros(rng, 12, 0.99)
+    zeros[:multiplicity] = zeros[-1]
+    inner, S, T = _commuting_reference(rng, zeros)
+    phi, resid, condition = symbol_recover(inner, T)
+    rebuilt = tm_compression(inner, analytic=phi).entries
+    assert np.linalg.norm(rebuilt - T) <= 1e-15 * condition * np.linalg.norm(T)
+    assert resid <= operators.RECOVERY_TOL
 
 
 def test_symbol_recover_anchors():
     z2 = blaschke_make([0.0, 0.0])
     basis = tm_basis(z2, 2.0)
     S = compressed_shift(z2, basis)
-    phi, resid = symbol_recover(z2, S)
+    phi, resid, condition = symbol_recover(z2, S)
     np.testing.assert_allclose(phi, [0.0, 1.0], atol=1e-10)
     assert resid < 1e-10
+    # at a double zero at 0, k_0 = e_0 and S_I k_0 = e_1
+    assert condition == 1.0
 
     eye = OperatorMatrix(np.eye(2), basis, basis)
-    phi1, _ = symbol_recover(z2, eye)
+    phi1, _, _ = symbol_recover(z2, eye)
     np.testing.assert_allclose(phi1, [1.0, 0.0], atol=1e-10)
     with pytest.raises(ValueError):
         symbol_recover(z2, OperatorMatrix(np.eye(3), basis, basis))
+    with pytest.raises(ValueError):
+        symbol_recover(z2, np.eye(4).reshape(2, 8))
+
+
+def test_symbol_recover_stack_matches_single_calls():
+    rng = np.random.default_rng(73)
+    inner = blaschke_make(random_zeros(rng, 6, 0.9))
+    rows = rng.standard_normal((2, 3, 6)) + 1j * rng.standard_normal((2, 3, 6))
+    stack = np.array([[tm_compression(inner, analytic=r).entries for r in pair] for pair in rows])
+    phi, resid, condition = symbol_recover(inner, stack)
+    assert phi.shape == (2, 3, 6) and resid.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        one, one_resid, one_condition = symbol_recover(inner, stack[i, j])
+        np.testing.assert_allclose(phi[i, j], one, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(phi[i, j], rows[i, j], rtol=0.0, atol=1e-10)
+        assert abs(resid[i, j] - one_resid) <= 1e-15
+        assert one_condition == condition
 
 
 def test_symbol_recover_roundtrip():
@@ -362,9 +404,33 @@ def test_symbol_recover_roundtrip():
         T = compressed_matrix(
             inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis
         )
-        phi, resid = symbol_recover(inner, T)
+        phi, resid, _ = symbol_recover(inner, T)
         np.testing.assert_allclose(phi, phi0, atol=1e-8)
         assert resid < 1e-7
+
+
+def test_newton_matrix_is_triangular_and_matches_fft_route():
+    rng = np.random.default_rng(74)
+    zeros = random_zeros(rng, 7, 0.9)
+    zeros[4] = zeros[2]
+    inner = blaschke_make(zeros)
+    lam = np.asarray(sorted_zeros(inner))
+    K, N = operators._newton_matrix(_shift(inner), tm_kernel_at_zero(inner))
+    # diagonal j: sqrt(1-|lambda_j|^2) * prod_{i<j} (1 - conj(lambda_i) lambda_j)
+    diagonal = [
+        np.sqrt(1.0 - abs(lam[j]) ** 2) * np.prod(1.0 - np.conj(lam[:j]) * lam[j])
+        for j in range(7)
+    ]
+    np.testing.assert_allclose(np.diag(K), diagonal, rtol=1e-12)
+    # column j: N_j = prod_{i<j} (z - lambda_i) and the TM coordinates of
+    # P_I N_j, found by FFT projection and basis expansion, which vanish
+    # above the diagonal
+    basis = tm_basis(inner, 2.0)
+    for j in range(7):
+        np.testing.assert_allclose(N[: j + 1, j], P.polyfromroots(lam[:j]), atol=1e-14)
+        assert np.all(N[j + 1 :, j] == 0.0)
+        coords, _ = expand(basis, project(inner, BoundaryFunction.from_poly(DEFAULT_GRID, N[:, j])))
+        assert np.abs(coords - K[:, j]).max() < 1e-12
 
 
 def _fft_shift(inner, basis):
@@ -403,11 +469,11 @@ def test_commutant_and_recovery_degree_20():
     rng = np.random.default_rng(64)
     inner = blaschke_make(random_zeros(rng, 20, 0.9))
     basis = tm_basis(inner, 2.0)
-    mats, _ = commutant_basis(inner)
+    mats, _ = commutant_nullspace(_shift(inner))
     assert len(mats) == 20
     phi0 = random_poly(rng, 19)
     T = compressed_matrix(inner, BoundaryFunction.from_poly(DEFAULT_GRID, phi0), basis)
-    phi, resid = symbol_recover(inner, T)
+    phi, resid, _ = symbol_recover(inner, T)
     np.testing.assert_allclose(phi, phi0, atol=1e-8)
     assert resid < 1e-8
 
@@ -422,14 +488,15 @@ def test_tm_commutant_and_recovery_skip_fft_compressions(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("grid basis or FFT compression called")
 
-    for name in ("compressed_matrix", "expand", "tm_basis"):
-        monkeypatch.setattr(operators, name, boom)
-    mats, sv = commutant_basis(inner)
+    mats, sv = commutant_nullspace(_shift(inner))
     assert len(mats) == 6
     assert sv.shape == (36,)
+    for name in ("compressed_matrix", "expand", "tm_basis"):
+        monkeypatch.setattr(operators, name, boom)
     for X in mats:
         symbol_recover(inner, X)
-    phi, _ = symbol_recover(inner, T)
+    symbol_recover(inner, np.stack(mats))
+    phi, _, _ = symbol_recover(inner, T)
     np.testing.assert_allclose(phi, phi0, atol=1e-8)
 
 
@@ -459,7 +526,7 @@ def test_symbol_recover_roundtrip_closed_form(seed):
     inner = blaschke_make(zeros, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
     phi0 = random_poly(rng, degree - 1)
     T = tm_compression(inner, analytic=phi0).entries
-    phi, resid = symbol_recover(inner, OperatorMatrix(T, "tm", "tm"))
+    phi, resid, _ = symbol_recover(inner, OperatorMatrix(T, "tm", "tm"))
     assert phi.shape == (degree,)
     assert resid <= operators.RECOVERY_TOL
     rebuilt = tm_compression(inner, analytic=phi).entries
