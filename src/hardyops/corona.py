@@ -25,8 +25,15 @@ from .blaschke import (
     sorted_zeros,
 )
 from .errors import CommonZeroError, IllConditionedError, NotInModelSpaceError, UnitDiscError
-from .hardy import BoundaryFunction, _as_params, grid_for_radius, hp_norm, p_mean
-from .model_space import _project_samples, tm_eval
+from .hardy import (
+    BoundaryFunction,
+    _as_params,
+    _grid_band,
+    grid_for_radius,
+    hp_norm,
+    p_mean,
+)
+from .model_space import _project_samples, clark_rule, tm_eval
 from .operators import tm_compression, toeplitz_apply
 
 #: Values of min_k |a(z_k)| at or below this are treated as a common zero.
@@ -61,6 +68,11 @@ _ZOOM_H = np.cumprod([0.06] + [0.6] * 47)
 #: broadcast (64 KB per temporary).  From degree 26 on, a batch is one
 #: box.
 _ZOOM_BATCH = 2**12
+
+#: Most values (probe functions times nodes) in one `tm_eval` call of
+#: `near_degenerate_probe`, which bounds its memory whatever the node
+#: count.
+_PROBE_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,6 +395,15 @@ def _conjugate_kernel_coords(inner: BlaschkeProduct, z: complex, q: float) -> np
     return scale * np.sqrt(1.0 - np.abs(lam) ** 2) / den * later
 
 
+def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, chunks) -> np.ndarray:
+    """(sum_zeta w * |f(zeta)|^p)^(1/p) for the model-space elements f whose
+    Takenaka-Malmquist coordinates are the columns of `coords`, over a
+    quadrature given as chunks of (nodes, weights): one `tm_eval` pass per
+    chunk for every column, and `p_mean` over the chunks' sums."""
+    parts = [p_mean(tm_eval(inner, coords, nodes), p, weights) for nodes, weights in chunks]
+    return p_mean(np.stack(parts, axis=-1), p, 1.0)
+
+
 def near_degenerate_probe(
     inner: BlaschkeProduct,
     symbol_coeffs,
@@ -397,14 +418,20 @@ def near_degenerate_probe(
     1/conj(z) cancels.  f is the conjugate kernel C k_z of the model
     space, so the projection leaves it unchanged, and its coordinates in
     the Takenaka-Malmquist basis have a closed form; those of
-    T_conj(a) f are a(S_I)^* times them.  Both functions are evaluated
-    through `tm_eval`, with no FFT, and each p-norm is the trapezoid mean
-    of |f|^p on m equispaced nodes, taken by `p_mean`.  For even integer p,
-    |f|^p is rational on the circle with poles only at the zeros of I and
-    their reflections, and m is that of `grid_for_radius(max |lambda_k|)`.
-    For any other p, |f|^p also has branch points at the zeros of f, which
-    approach the circle as |z| does, and m is that of
-    `grid_for_radius(max(|z|, |lambda_k|))` over all probes.
+    T_conj(a) f are a(S_I)^* times them.  Every row's two functions are
+    evaluated through `tm_eval` in one pass per chunk of _PROBE_BLOCK
+    values, with no FFT.
+
+    For even p = 2k with k*n at most the node count of
+    `grid_for_radius(max |lambda_k|)`, both lie in K_I, so f^k lies in
+    K_{I^k} and ||f||_p^p = ||f^k||_2^2 is the exact sum of w * |f|^p
+    over the kn Clark points of I^k (`clark_rule(inner, power=k)`).  For
+    larger even p, ||f||_p is the trapezoid mean over the nodes of that
+    grid, where |f|^p is rational with poles only at the zeros of I and
+    their reflections.  For any other p, |f|^p also has branch points at
+    the zeros of f, which approach the circle as |z| does, and the mean
+    runs over the nodes of `grid_for_radius(max(|z|, |lambda_k|))` over
+    all probes.
     """
     params = _as_params(params if params is not None else 2.0)
     poly = _symbol_poly(symbol_coeffs)
@@ -413,26 +440,35 @@ def near_degenerate_probe(
         if not abs(z) < 1.0:
             raise UnitDiscError(f"probe point {z} must lie in the open disc")
     adjoint = tm_compression(inner, coanalytic=poly)
+    x = np.array([_conjugate_kernel_coords(inner, z, params.q) for z in probes])
+    x = x.reshape(len(probes), inner.degree).T
+    coords = np.column_stack([x, adjoint.apply(x)])
+    block = max(1, _PROBE_BLOCK // max(1, coords.shape[1]))
     radius = max(abs(lam) for lam in inner.zeros)
-    if params.p % 2.0 != 0.0:
-        radius = max([radius] + [abs(z) for z in probes])
-    nodes = grid_for_radius(radius).points
-    rows = []
-    for z in probes:
-        x = _conjugate_kernel_coords(inner, z, params.q)
-        values = tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes)
-        f_norm, taf_norm = p_mean(values, params.p)
-        corona_value = float(
-            abs(_horner(poly, z)) + abs(blaschke_eval(inner, z))
+    p = params.p
+    if p % 2.0 == 0.0 and p / 2.0 * inner.degree <= _grid_band(radius)[0]:
+        nodes, weights = clark_rule(inner, power=int(p) // 2)
+        chunks = (
+            (nodes[i : i + block], weights[i : i + block]) for i in range(0, len(nodes), block)
         )
-        rows.append(
-            ProbeRow(
-                z=z,
-                corona_value=corona_value,
-                f_norm=float(f_norm),
-                taf_norm=float(taf_norm),
-            )
+    else:
+        if p % 2.0 != 0.0:
+            radius = max([radius] + [abs(z) for z in probes])
+        m = grid_for_radius(radius).m
+        chunks = (
+            (np.exp(2j * np.pi * np.arange(i, min(i + block, m)) / m), 1.0 / m)
+            for i in range(0, m, block)
         )
+    norms = _p_norms(inner, coords, p, chunks)
+    rows = [
+        ProbeRow(
+            z=z,
+            corona_value=float(abs(_horner(poly, z)) + abs(blaschke_eval(inner, z))),
+            f_norm=float(f_norm),
+            taf_norm=float(taf_norm),
+        )
+        for z, f_norm, taf_norm in zip(probes, norms[: len(probes)], norms[len(probes) :])
+    ]
     return ProbeReport(
         tuple(rows), adjoint.sigma_min(), min_abs_at_zeros(poly, inner), params.p
     )

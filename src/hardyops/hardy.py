@@ -96,17 +96,24 @@ class CircleGrid:
 DEFAULT_GRID = CircleGrid()
 
 
+def _grid_band(radius: float) -> tuple[int, int]:
+    """(m, n) of the grid `grid_for_radius` builds for `radius`, before its
+    cap: callers compare against that size without building the grid."""
+    n = int(np.ceil(np.log(GRID_TAIL) / np.log(radius))) + 8 if radius > 0.0 else 0
+    if n <= DEFAULT_N:
+        return DEFAULT_M, DEFAULT_N
+    return 1 << int(np.ceil(np.log2(2 * n + 2))), n
+
+
 def grid_for_radius(radius: float) -> CircleGrid:
     """A grid whose band resolves geometric coefficient decay radius**k
     down to GRID_TAIL; the default grid for well-separated radii."""
     if not 0.0 <= radius < 1.0:
         raise UnitDiscError(f"radius {radius} must lie in [0, 1)")
-    if radius == 0.0:
+    m, n = _grid_band(radius)
+    if n == DEFAULT_N:
         return DEFAULT_GRID
-    n = int(np.ceil(np.log(GRID_TAIL) / np.log(radius))) + 8
-    if n <= DEFAULT_N:
-        return DEFAULT_GRID
-    return _capped_grid(radius, 1 << int(np.ceil(np.log2(2 * n + 2))), n)
+    return _capped_grid(radius, m, n)
 
 
 def _capped_grid(radius: float, m: int, n: int) -> CircleGrid:
@@ -330,12 +337,16 @@ def pairing(f: BoundaryFunction, g: BoundaryFunction) -> complex:
     return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
 
 
-def p_mean(values, p: float):
-    """(mean of |values|**p)**(1/p) along the last axis, taken relative to
-    the largest modulus so that no power overflows or underflows for large p."""
+def p_mean(values, p: float, weights=None):
+    """(sum of weights * |values|**p)**(1/p) along the last axis, the
+    p-mean when `weights` is omitted; taken relative to the largest
+    modulus so that no power overflows or underflows for large p."""
     mod = np.abs(values)
     top = np.maximum(mod.max(axis=-1, keepdims=True), np.finfo(float).tiny)
-    return top[..., 0] * np.mean((mod / top) ** p, axis=-1) ** (1.0 / p)
+    mod /= top
+    np.power(mod, p, out=mod)
+    total = mod.mean(axis=-1) if weights is None else np.sum(mod * weights, axis=-1)
+    return top[..., 0] * total ** (1.0 / p)
 
 
 def hp_norm(f: BoundaryFunction, params) -> float:

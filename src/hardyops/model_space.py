@@ -31,6 +31,14 @@ CAUCHY_KIND = "cauchy_kernels"
 #: Relative residual allowed when expanding a function in a basis.
 EXPANSION_TOL = 1e-8
 
+#: Most values (zeros times points) in one temporary of `tm_eval` and of
+#: the Clark phase.
+_TM_BLOCK = 1 << 14
+
+#: Newton or bisection steps allowed per Clark node; bisection alone
+#: resolves any bracket to rounding in about 55.
+_CLARK_MAX_ITER = 100
+
 
 @dataclass(frozen=True, eq=False)
 class ModelSpaceBasis:
@@ -88,27 +96,132 @@ def tm_eval(inner: BlaschkeProduct, coords, points) -> np.ndarray:
 
     e_k is the k-th Takenaka-Malmquist function of the ordered zeros,
     sqrt(1-|lambda_k|^2)/(1 - conj(lambda_k) z) * prod_{j<k} b_{lambda_j}(z),
-    evaluated from this product formula with no grid or FFT.  `coords` has
-    the dimension as its first axis; further axes evaluate several elements
-    at once and come first in the result, whose shape is
-    coords.shape[1:] + points.shape.
+    evaluated from this product formula with no grid or FFT: the partial
+    products are running products down the zeros, for _TM_BLOCK values
+    (zeros times points) at a time.  `coords` has the dimension as its
+    first axis; further axes evaluate several elements at once and come
+    first in the result, whose shape is coords.shape[1:] + points.shape.
     """
     pts = np.asarray(points, dtype=complex)
     coords = np.asarray(coords, dtype=complex)
-    if coords.shape[:1] != (inner.degree,):
+    n = inner.degree
+    if coords.shape[:1] != (n,):
         raise ValueError(
-            f"coordinates of shape {coords.shape} for a model space of dimension {inner.degree}"
+            f"coordinates of shape {coords.shape} for a model space of dimension {n}"
         )
-    flat = coords.reshape(inner.degree, -1)
-    out = np.zeros(flat.shape[1:] + pts.shape, dtype=complex)
-    partial = np.ones_like(pts)
-    for zk, ck in zip(sorted_zeros(inner), flat):
-        den = 1.0 - np.conj(zk) * pts
-        # zero coordinates add nothing, so identity coordinates cost O(n * m)
-        used = np.flatnonzero(ck)
-        out[used] += np.multiply.outer(ck[used], np.sqrt(1.0 - abs(zk) ** 2) / den * partial)
-        partial = partial * (pts - zk) / den
+    flat = coords.reshape(n, -1).T
+    lam = np.asarray(sorted_zeros(inner), dtype=complex)[:, None]
+    scale = np.sqrt(1.0 - np.abs(lam) ** 2)
+    z = pts.ravel()
+    out = np.empty((flat.shape[0], z.size), dtype=complex)
+    step = max(1, _TM_BLOCK // max(n, 1))
+    for i in range(0, z.size, step):
+        block = z[i : i + step]
+        den = 1.0 - np.conj(lam) * block
+        e = scale / den
+        e[1:] *= np.cumprod((block - lam[:-1]) / den[:-1], axis=0)
+        # row by row, so that no value depends on the other coordinates
+        for row, c in zip(out, flat):
+            row[i : i + step] = c @ e
     return out.reshape(coords.shape[1:] + pts.shape)
+
+
+def _clark_phase(zeros, power: int, count: int, theta: np.ndarray):
+    """Phi(theta) = count*theta + 2*power*sum_k arg(1 - lambda_k e^{-i theta}),
+    the phase of z^extra * I^power up to a constant, and Phi'(theta) =
+    extra + power*sum_k (1-|lambda_k|^2)/|1 - lambda_k e^{-i theta}|^2 with
+    extra = count - power*n, summed over blocks of zeros so that no
+    temporary exceeds _TM_BLOCK values or len(theta)."""
+    rotation = np.exp(-1j * theta)
+    arg = np.zeros(theta.shape)
+    slope = np.full(theta.shape, float(count - power * len(zeros)))
+    step = max(1, _TM_BLOCK // max(theta.size, 1))
+    for i in range(0, len(zeros), step):
+        lam = zeros[i : i + step, None]
+        w = 1.0 - lam * rotation
+        arg += np.arctan2(w.imag, w.real).sum(axis=0)
+        slope += (power * (1.0 - np.abs(lam) ** 2) / (w.real**2 + w.imag**2)).sum(axis=0)
+    return count * theta + 2.0 * power * arg, slope
+
+
+def _clark_roots(phase, grid, sampled, targets, floor: float):
+    """theta with phase(theta) = targets, to within `floor` or to the
+    resolution of theta, and 1/phase'(theta) there, for an increasing
+    phase sampled as `sampled` on `grid`: Newton steps, with bisection when
+    a step leaves its bracket or fails to halve the one before."""
+    eps = np.finfo(float).eps
+    right = np.searchsorted(sampled, targets, side="right")
+    lo, hi = grid[right - 1], grid[right]
+    share = (targets - sampled[right - 1]) / (sampled[right] - sampled[right - 1])
+    theta = lo + share * (hi - lo)
+    last = hi - lo
+    weights = np.empty(len(targets))
+    active = np.arange(len(targets))
+    for _ in range(_CLARK_MAX_ITER):
+        t = theta[active]
+        value, slope = phase(t)
+        miss = value - targets[active]
+        below = miss < 0.0
+        lo_t = np.where(below, t, lo[active])
+        hi_t = np.where(below, hi[active], t)
+        newton = t - miss / slope
+        moved = np.abs(newton - t)
+        done = (np.abs(miss) <= floor) | (moved <= 4.0 * eps) | (hi_t - lo_t <= 4.0 * eps)
+        take = (lo_t < newton) & (newton < hi_t) & (done | (moved <= 0.5 * last[active]))
+        step = np.where(take, newton, np.where(done, t, 0.5 * (lo_t + hi_t)))
+        theta[active], lo[active], hi[active] = step, lo_t, hi_t
+        last[active] = np.abs(step - t)
+        weights[active[done]] = 1.0 / slope[done]
+        active = active[~done]
+        if active.size == 0:
+            return theta, weights
+    raise IllConditionedError(
+        f"{active.size} Clark nodes unresolved after {_CLARK_MAX_ITER} steps"
+    )
+
+
+def clark_rule(inner: BlaschkeProduct, power: int = 1, extra: int = 0):
+    """Nodes and weights of the exact quadrature for K_J, J = z^extra * I^power.
+
+    Returns the N = power*n + extra points zeta on the circle with
+    J(zeta) = alpha := -J(1), in increasing argument, and the weights
+    1/|J'(zeta)| = 1/(extra + power*sum_k (1-|lambda_k|^2)/|zeta - lambda_k|^2).
+    By Clark's theorem (Clark 1972; Garcia-Mashreghi-Ross 2016),
+    <f, g> = sum_zeta w * f(zeta) * conj(g(zeta)) exactly for f, g in K_J.
+    So with extra = deg(phi) the rule pairs phi*e_k against e_j exactly,
+    and with power = k it gives ||f||_2k^2k = ||f^k||_2^2 for f in K_I.
+
+    The nodes solve Phi(theta) = Phi(0) + 2*pi*(j + 1/2) for the phase
+    Phi(theta) = N*theta + arg c^power + 2*power*sum_k arg(1 - lambda_k e^{-i theta})
+    of J on the circle: each arg lies in (-pi/2, pi/2), so Phi needs no
+    unwrapping, and it increases with Phi' = |J'|.  Brackets come from N
+    equispaced samples of Phi, and `_clark_roots` refines _TM_BLOCK nodes
+    at a time, so memory is O(N) whatever n, about 64 bytes a node.
+    Only the zeros enter, not S_I.  A node left unresolved after
+    _CLARK_MAX_ITER steps raises IllConditionedError.
+    """
+    power, extra = int(power), int(extra)
+    count = power * inner.degree + extra
+    if power < 1 or extra < 0 or count < 1:
+        raise ValueError(f"Clark rule needs power >= 1, extra >= 0 and a node: {power}, {extra}")
+    zeros = np.asarray(inner.zeros, dtype=complex)
+
+    def phase(theta):
+        return _clark_phase(zeros, power, count, theta)
+
+    grid = 2.0 * np.pi * np.arange(count + 1) / count
+    sampled = np.concatenate(
+        [phase(grid[i : i + _TM_BLOCK])[0] for i in range(0, count + 1, _TM_BLOCK)]
+    )
+    sampled[-1] = sampled[0] + 2.0 * np.pi * count
+    # a few roundings of the largest terms of Phi
+    floor = 12.0 * np.finfo(float).eps * np.abs(sampled[[0, -1]]).max()
+    theta, weights = np.empty(count), np.empty(count)
+    for i in range(0, count, _TM_BLOCK):
+        j = np.arange(i, min(i + _TM_BLOCK, count))
+        targets = sampled[0] + 2.0 * np.pi * (j + 0.5)
+        theta[j], weights[j] = _clark_roots(phase, grid, sampled, targets, floor)
+    return np.exp(1j * theta), weights
 
 
 def tm_kernel_at_zero(inner: BlaschkeProduct) -> np.ndarray:

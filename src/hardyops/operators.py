@@ -14,10 +14,13 @@ phi_plus + conj(phi_minus) is phi_plus(S_I) + phi_minus(S_I)^*, which
 Sarason's theorem the commutant of S_I is the set of compressed analytic
 Toeplitz operators phi(S_I), and the kernel k_0 = P_I 1 is cyclic for
 S_I, so `symbol_recover` reads phi off T k_0 with one triangular solve in
-the Newton basis of the ordered zeros; neither p nor a grid enters.  The
-FFT route, `compressed_matrix` on the grid, stays as the independent
-cross-check of the closed forms and serves every other basis kind and
-every symbol that is not a trigonometric polynomial.
+the Newton basis of the ordered zeros; neither p nor a grid enters.
+`adjoint_defect` checks phi(S_I) against pairings on the n + deg(phi)
+Clark points of z^deg(phi) * I (`clark_rule`), a quadrature that is exact
+on that model space and takes only the zeros from I.  The FFT route,
+`compressed_matrix` on the grid, stays as the independent cross-check of
+the closed forms and serves every other basis kind and every symbol that
+is not a trigonometric polynomial.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .hardy import (
     BoundaryFunction,
     CircleGrid,
     HardyParams,
-    grid_for_radius,
     hp_norm,
     monomial,
     require_analytic,
@@ -48,6 +50,7 @@ from .model_space import (
     TM_KIND,
     ModelSpaceBasis,
     _project_samples,
+    clark_rule,
     expand,
     tm_basis,
     tm_eval,
@@ -63,9 +66,6 @@ COMMUTATION_TOL = 1e-8
 
 #: Relative residual allowed when matching a commuting matrix to a symbol.
 RECOVERY_TOL = 1e-7
-
-#: Nodes per `tm_eval` call in `adjoint_defect`, which bounds its memory.
-_ADJOINT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +186,11 @@ def _tm_shift(zeros) -> np.ndarray:
     lam = np.asarray(zeros, dtype=complex)
     n = len(lam)
     w = np.sqrt(1.0 - np.abs(lam) ** 2)
-    S = np.diag(lam)
-    for j in range(n - 1):
-        run = np.cumprod(np.concatenate(([1.0], -np.conj(lam[j + 1 : n - 1]))))
-        S[j + 1 :, j] = w[j + 1 :] * w[j] * run
+    # column j multiplies -conj(lambda_l) down its rows from l = j+1 on
+    shifted = -np.conj(np.concatenate(([0.0], lam[:-1])))
+    run = np.cumprod(np.where(np.tri(n, k=-2, dtype=bool), shifted[:, None], 1.0), axis=0)
+    S = np.tril(np.outer(w, w) * run, k=-1)
+    np.fill_diagonal(S, lam)
     return S
 
 
@@ -423,27 +424,23 @@ def symbol_recover(inner: BlaschkeProduct, T) -> tuple[np.ndarray, np.ndarray, f
 
 def adjoint_defect(inner: BlaschkeProduct, symbol_coeffs) -> float:
     """Largest mismatch between <P_I(phi e_k), e_j> = phi(S_I)[j, k] from
-    `tm_compression` and <e_k, P_plus(conj(phi) e_j)> over the
+    `tm_compression` and the Clark-rule pairing
+    sum_zeta w * phi(zeta) * e_k(zeta) * conj(e_j(zeta)) over the
     Takenaka-Malmquist basis; the two routes share only the ordered zeros.
 
-    The right side is the trapezoid mean of phi * e_k * conj(e_j) on the
-    nodes of `grid_for_radius(max |lambda_k|)`, with e_k from `tm_eval`,
-    _ADJOINT_CHUNK nodes at a time; a symbol of degree above that grid's
-    band would alias and raises ValueError.  No p enters: as a set the
-    model space does not depend on it.
+    The rule is `clark_rule(inner, extra=deg(phi))`: the n + deg(phi)
+    points where z^deg(phi) * I takes one unimodular value, with e_k from
+    `tm_eval`.  Since phi * e_k and e_j lie in the model space of
+    z^deg(phi) * I, the sum is the pairing itself, not an approximation of
+    it, and its rounding error grows like eps / (1 - max |lambda_k|).  No
+    grid and no p enter: as a set the model space does not depend on p.
     """
-    grid = grid_for_radius(max((abs(z) for z in inner.zeros), default=0.0))
     poly = as_poly(symbol_coeffs)
-    if len(poly) - 1 > grid.n:
-        raise ValueError(f"symbol degree {len(poly) - 1} exceeds the band n={grid.n}")
     closed = tm_compression(inner, analytic=poly).entries
-    n = inner.degree
-    quad = np.zeros((n, n), dtype=complex)
-    for start in range(0, grid.m, _ADJOINT_CHUNK):
-        nodes = np.exp(2j * np.pi * np.arange(start, min(start + _ADJOINT_CHUNK, grid.m)) / grid.m)
-        e = tm_eval(inner, np.eye(n), nodes)
-        quad += e.conj() @ (np.polynomial.polynomial.polyval(nodes, poly) * e).T
-    return float(np.abs(closed - quad / grid.m).max())
+    nodes, weights = clark_rule(inner, extra=len(poly) - 1)
+    e = tm_eval(inner, np.eye(inner.degree), nodes)
+    quad = e.conj() @ (weights * np.polynomial.polynomial.polyval(nodes, poly) * e).T
+    return float(np.abs(closed - quad).max())
 
 
 def coanalytic_kernel_check(symbol_coeffs, grid: CircleGrid | None = None) -> float:

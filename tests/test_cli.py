@@ -546,12 +546,28 @@ def test_sweep_probe_radius(tmp_path):
 
 
 def test_sweep_probe_radius_zero_too_close_to_circle_exits_3(tmp_path, capsys):
+    # at p = 1.5 the probe norms need grid_for_radius(1 - 1e-6), m = 2^26
     doc = base_config()
     doc["inner"] = {"zeros": [1.0 - 1e-6, -0.5]}
+    doc["p"] = 1.5
     cfg = write_json(tmp_path, "cfg.json", doc)
     fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2]})
     assert main(["sweep", "--config", cfg, "--family", fam]) == 3
     assert "too close to the circle" in capsys.readouterr().err
+
+
+def test_sweep_probe_radius_zero_near_circle_at_p2(tmp_path):
+    # at p = 2 the norms come from the n Clark points of I, with no grid;
+    # rounding grows like eps / (1 - |lambda|), about 2e-10 here
+    doc = base_config()
+    doc["inner"] = {"zeros": [1.0 - 1e-6, -0.5]}
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2]})
+    out = tmp_path / "probe.csv"
+    assert main(["sweep", "--config", cfg, "--family", fam, "--out", str(out)]) == 0
+    row = out.read_text(encoding="utf-8").split("\n")[1].split(",")
+    inner = parse_config(doc).inner
+    assert float(row[3]) == pytest.approx(np.sqrt(1.0 - abs(inner(0.2)) ** 2), rel=1e-9)
 
 
 def test_sweep_determinism(tmp_path):

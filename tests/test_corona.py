@@ -1,6 +1,8 @@
 """Corona pairs: the infimum delta, Bezout certificates, explicit inverses,
 and near-degenerate probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_blaschke, random_poly, random_zeros
@@ -32,6 +34,7 @@ from hardyops import (
 )
 from hardyops import corona
 from hardyops.blaschke import as_poly
+from hardyops.hardy import p_mean
 from hardyops.model_space import _project_samples
 
 P = np.polynomial.polynomial
@@ -528,3 +531,67 @@ def test_probe_node_count_resolves_norms():
                 f_norm, taf_norm = np.mean(np.abs(values) ** p, axis=1) ** (1.0 / p)
                 assert row.f_norm == pytest.approx(f_norm, rel=tol, abs=0.0)
                 assert row.taf_norm == pytest.approx(taf_norm, rel=tol, abs=0.0)
+
+
+def _per_row_probe(inner, a, probes, p, nodes):
+    """The probe norms row by row: one `tm_eval` pass per probe over all
+    of `nodes`, then `p_mean` of each row."""
+    adjoint = tm_compression(inner, coanalytic=a)
+    norms = []
+    for z in probes:
+        x = corona._conjugate_kernel_coords(inner, z, p / (p - 1.0))
+        norms.append(p_mean(tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes), p))
+    return norms
+
+
+def test_probe_batched_rows_match_per_row_loop():
+    # all rows share each chunk's tm_eval pass, and the chunks' p-means
+    # combine through a running maximum
+    for inner, a, direction in _seeded_probe_cases():
+        probes = [r * direction for r in (0.0, 0.5, 0.9, 0.99, 0.999)]
+        radius = max([abs(z) for z in probes] + [abs(lam) for lam in inner.zeros])
+        nodes = grid_for_radius(radius).points
+        for p in (1.5, 3.0):
+            report = near_degenerate_probe(inner, a, probes, p)
+            for row, ref in zip(report.rows, _per_row_probe(inner, a, probes, p, nodes)):
+                assert [row.f_norm, row.taf_norm] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1e6, 1e300])
+def test_probe_large_even_p_keeps_grid_route(p):
+    # k*n far above the grid's 2048 nodes: the trapezoid mean on that grid,
+    # with no Clark nodes; the per-row route peaked at 402 KB (p = 1e6)
+    # and 366 KB (p = 1e300) under tracemalloc
+    inner = blaschke_make([0.3, -0.5])
+    a = [-0.7, 1.0]
+    probes = [0.9, 0.99]
+    near_degenerate_probe(inner, a, probes, p)
+    tracemalloc.start()
+    try:
+        report = near_degenerate_probe(inner, a, probes, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 360_000
+    for row, ref in zip(report.rows, _per_row_probe(inner, a, probes, p, DEFAULT_GRID.points)):
+        assert 0.0 < row.f_norm < np.inf and 0.0 < row.taf_norm < np.inf
+        assert [row.f_norm, row.taf_norm] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_probe_even_p_needs_no_grid(monkeypatch):
+    # at p = 2 and 4 the norms come from the Clark points of I and I^2,
+    # so a zero at 1 - 1e-6, whose grid would need 2^26 nodes, is fine
+    def refuse(radius):
+        raise AssertionError("the even-p probe built a grid")
+
+    monkeypatch.setattr(corona, "grid_for_radius", refuse)
+    inner = blaschke_make([1.0 - 1e-6, -0.5, 0.3j])
+    a = [-0.7, 1.0]
+    probes = [0.2, 0.9 * np.exp(0.3j)]
+    report = near_degenerate_probe(inner, a, probes, 2.0)
+    for z, row in zip(probes, report.rows):
+        # rounding grows like eps / (1 - |lambda|), about 2e-10 here
+        expected = np.sqrt(1.0 - abs(blaschke_eval(inner, z)) ** 2)
+        assert row.f_norm == pytest.approx(expected, rel=1e-9)
+    report = near_degenerate_probe(inner, a, probes, 4.0)
+    assert all(0.0 < row.f_norm < np.inf for row in report.rows)

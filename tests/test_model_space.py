@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_analytic, random_blaschke, random_poly
+from conftest import random_analytic, random_blaschke, random_poly, random_zeros
 
 from hardyops import (
     BoundaryFunction,
@@ -13,6 +13,7 @@ from hardyops import (
     blaschke_eval,
     blaschke_make,
     cauchy_basis,
+    clark_rule,
     decompose,
     duality_gram,
     expand,
@@ -21,10 +22,13 @@ from hardyops import (
     pairing,
     project,
     tm_basis,
+    tm_compression,
     tm_eval,
     tm_kernel_at_zero,
     unnormalized_kernel,
 )
+from hardyops import model_space
+from hardyops.corona import _conjugate_kernel_coords
 
 P = np.polynomial.polynomial
 
@@ -125,6 +129,101 @@ def test_tm_kernel_at_zero_is_projected_one():
         np.testing.assert_allclose(tm_eval(inner, k0, pts), expected, rtol=0, atol=1e-13)
         # ||k_0||^2 = k_0(0) = 1 - |I(0)|^2
         assert abs(np.vdot(k0, k0) - (1.0 - abs(blaschke_eval(inner, 0.0)) ** 2)) < 1e-14
+
+
+def _clark_cases(seed, count=8, radius=0.9):
+    """Seeded inners of degree 1-9 within `radius`, with a unimodular
+    constant; every other one has a triple zero."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        zeros = random_zeros(rng, int(rng.integers(1, 10)), radius)
+        if k % 2:
+            zeros[1:3] = zeros[0]
+        cases.append(blaschke_make(zeros, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+    return cases
+
+
+@pytest.mark.parametrize("power, extra", [(1, 0), (1, 3), (2, 0), (3, 2)])
+def test_clark_rule_nodes_solve_j_equals_alpha(power, extra):
+    # N points, in increasing argument, where J = z^extra I^power = -J(1)
+    for inner in _clark_cases(33):
+        nodes, weights = clark_rule(inner, power, extra)
+        count = power * inner.degree + extra
+        assert nodes.shape == weights.shape == (count,)
+        J = lambda z: blaschke_eval(inner, z) ** power * z**extra
+        assert np.abs(J(nodes) + J(1.0 + 0.0j)).max() <= 1e-12
+        assert np.all(np.diff(np.angle(nodes) % (2.0 * np.pi)) > 0.0)
+        assert np.all(weights > 0.0)
+        if extra:
+            # J(0) = 0 puts the constants in K_J, so the weights sum to ||1||^2
+            assert abs(weights.sum() - 1.0) <= 1e-13
+
+
+def test_clark_rule_matches_clark_unitary_eigenvalues():
+    # U = S_I + c k_0 (x) C k_0 is unitary for c = alpha / (1 - alpha conj(I(0))),
+    # and its eigenvalues are the points where I = alpha (Clark 1972):
+    # U f = z f + <f, C k_0>(c k_0 - I), since S_I f = z f - <f, C k_0> I
+    for inner in _clark_cases(34):
+        S = tm_compression(inner, analytic=[0.0, 1.0]).entries
+        k0 = tm_kernel_at_zero(inner)
+        ck0 = _conjugate_kernel_coords(inner, 0.0, 2.0)
+        alpha = -blaschke_eval(inner, 1.0 + 0.0j)
+        c = alpha / (1.0 - alpha * np.conj(blaschke_eval(inner, 0.0)))
+        U = S + c * np.outer(k0, ck0.conj())
+        assert np.abs(U.conj().T @ U - np.eye(inner.degree)).max() <= 1e-14
+        eigenvalues = np.linalg.eigvals(U)
+        eigenvalues = eigenvalues[np.argsort(np.angle(eigenvalues) % (2.0 * np.pi))]
+        nodes, _ = clark_rule(inner)
+        assert np.abs(eigenvalues - nodes).max() <= 1e-13
+
+
+def test_clark_rule_tm_gram_is_identity():
+    # sum_zeta w e_j(zeta) conj(e_k(zeta)) = <e_j, e_k> exactly on K_I
+    for inner in _clark_cases(35, count=12):
+        nodes, weights = clark_rule(inner)
+        e = tm_eval(inner, np.eye(inner.degree), nodes)
+        gram = (e * weights) @ e.conj().T
+        np.testing.assert_allclose(gram, np.eye(inner.degree), rtol=0, atol=1e-13)
+
+
+def test_clark_rule_even_norms_match_trapezoid():
+    # ||f||_2k^2k = ||f^k||_2^2 with f^k in K_{I^k}: kn nodes, no grid
+    rng = np.random.default_rng(36)
+    m = 1 << 16
+    pts = np.exp(2j * np.pi * np.arange(m) / m)
+    for inner in _clark_cases(37, count=6):
+        coords = rng.standard_normal(inner.degree) + 1j * rng.standard_normal(inner.degree)
+        reference = np.abs(tm_eval(inner, coords, pts))
+        for k in (2, 3):
+            nodes, weights = clark_rule(inner, power=k)
+            values = np.abs(tm_eval(inner, coords, nodes))
+            norm = np.sum(weights * values ** (2 * k)) ** (1.0 / (2 * k))
+            expected = np.mean(reference ** (2 * k)) ** (1.0 / (2 * k))
+            assert norm == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_clark_rule_near_the_circle():
+    # a zero at 1 - 1e-6 puts a node in a window of width about 1e-6; the
+    # Gram error grows like eps / (1 - r)
+    rng = np.random.default_rng(38)
+    zeros = list(random_zeros(rng, 9, 0.9)) + [(1.0 - 1e-6) * np.exp(0.4j)]
+    inner = blaschke_make(zeros)
+    nodes, weights = clark_rule(inner)
+    e = tm_eval(inner, np.eye(inner.degree), nodes)
+    gram = (e * weights) @ e.conj().T
+    assert np.abs(gram - np.eye(inner.degree)).max() <= 1e-8
+
+
+def test_clark_rule_failures(monkeypatch):
+    inner = blaschke_make([0.3, -0.5j])
+    with pytest.raises(ValueError, match="power"):
+        clark_rule(inner, power=0)
+    with pytest.raises(ValueError, match="power"):
+        clark_rule(inner, extra=-1)
+    monkeypatch.setattr(model_space, "_CLARK_MAX_ITER", 1)
+    with pytest.raises(IllConditionedError, match="Clark nodes unresolved"):
+        clark_rule(inner)
 
 
 def test_cauchy_basis():

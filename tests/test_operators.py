@@ -50,6 +50,7 @@ from hardyops import (
 )
 from hardyops import operators
 from hardyops.blaschke import sorted_zeros
+from hardyops.cli import ADJOINT_TOL
 from hardyops.model_space import _project_samples
 
 P = np.polynomial.polynomial
@@ -599,6 +600,15 @@ def test_adjoint_defect_matches_pairwise_reference():
         inner = blaschke_make(random_zeros(rng, degree, 0.9))
         phi = random_poly(rng, 3)
         assert abs(adjoint_defect(inner, phi) - _adjoint_defect_pairwise(inner, phi, p)) < 1e-13
+
+
+@pytest.mark.parametrize("radius", [0.99999, 1.0 - 1e-6])
+def test_adjoint_defect_near_the_circle(radius):
+    # n + deg(phi) Clark nodes whatever the radius; a grid would need
+    # m = 2^23 at 0.99999 and 2^26 (refused) at 1 - 1e-6
+    rng = np.random.default_rng(70)
+    inner = blaschke_make(list(random_zeros(rng, 39, 0.9)) + [radius * np.exp(0.7j)])
+    assert adjoint_defect(inner, random_poly(rng, 3)) <= ADJOINT_TOL
 
 
 def test_coanalytic_kernel_check():
