@@ -26,12 +26,12 @@ from .blaschke import (
 )
 from .errors import CommonZeroError, IllConditionedError, NotInModelSpaceError, UnitDiscError
 from .hardy import (
+    GRID_MAX_M,
     BoundaryFunction,
     _as_params,
     _grid_band,
     grid_for_radius,
     hp_norm,
-    p_mean,
 )
 from .model_space import _project_samples, clark_rule, tm_eval
 from .operators import tm_compression, toeplitz_apply
@@ -69,10 +69,12 @@ _ZOOM_H = np.cumprod([0.06] + [0.6] * 47)
 #: box.
 _ZOOM_BATCH = 2**12
 
-#: Most values (probe functions times nodes) in one `tm_eval` call of
+#: Most values (probe functions times nodes) evaluated at once by
 #: `near_degenerate_probe`, which bounds its memory whatever the node
-#: count.
-_PROBE_BLOCK = 1 << 12
+#: count, and fewest nodes per basis evaluation, which keeps the number
+#: of matrix products linear in the number of probes.
+_PROBE_BLOCK = 1 << 11
+_PROBE_NODES = 1 << 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,13 +397,35 @@ def _conjugate_kernel_coords(inner: BlaschkeProduct, z: complex, q: float) -> np
     return scale * np.sqrt(1.0 - np.abs(lam) ** 2) / den * later
 
 
-def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, chunks) -> np.ndarray:
+def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, count: int, rule):
     """(sum_zeta w * |f(zeta)|^p)^(1/p) for the model-space elements f whose
     Takenaka-Malmquist coordinates are the columns of `coords`, over a
-    quadrature given as chunks of (nodes, weights): one `tm_eval` pass per
-    chunk for every column, and `p_mean` over the chunks' sums."""
-    parts = [p_mean(tm_eval(inner, coords, nodes), p, weights) for nodes, weights in chunks]
-    return p_mean(np.stack(parts, axis=-1), p, 1.0)
+    quadrature of `count` nodes whose nodes i:j with their weights (an
+    array or one number) are `rule(i, j)`.
+
+    Each chunk of nodes gets one `tm_eval` of the basis, shared by all
+    columns, which then take one matrix product per group of columns; a
+    chunk has at least _PROBE_NODES nodes unless fewer are left, and a
+    group at most _PROBE_BLOCK values.  The sums run relative to the
+    largest modulus seen so far, so no power overflows for large p."""
+    n, cols = coords.shape
+    size = max(_PROBE_NODES, _PROBE_BLOCK // max(n, cols, 1))
+    width = max(1, _PROBE_BLOCK // size)
+    top = np.full(cols, np.finfo(float).tiny)
+    total = np.zeros(cols)
+    for i in range(0, count, size):
+        pts, w = rule(i, min(i + size, count))
+        basis = tm_eval(inner, np.eye(n), pts)
+        for j in range(0, cols, width):
+            mod = np.abs(coords[:, j : j + width].T @ basis)
+            old = top[j : j + width]
+            new = np.maximum(old, mod.max(axis=-1))
+            mod /= new[:, None]
+            np.power(mod, p, out=mod)
+            total[j : j + width] *= (old / new) ** p
+            total[j : j + width] += np.sum(mod * w, axis=-1)
+            top[j : j + width] = new
+    return top * total ** (1.0 / p)
 
 
 def near_degenerate_probe(
@@ -418,20 +442,20 @@ def near_degenerate_probe(
     1/conj(z) cancels.  f is the conjugate kernel C k_z of the model
     space, so the projection leaves it unchanged, and its coordinates in
     the Takenaka-Malmquist basis have a closed form; those of
-    T_conj(a) f are a(S_I)^* times them.  Every row's two functions are
-    evaluated through `tm_eval` in one pass per chunk of _PROBE_BLOCK
-    values, with no FFT.
+    T_conj(a) f are a(S_I)^* times them.  All rows share one `tm_eval`
+    of the basis per chunk of nodes, with no FFT (`_p_norms`).
 
     For even p = 2k with k*n at most the node count of
-    `grid_for_radius(max |lambda_k|)`, both lie in K_I, so f^k lies in
-    K_{I^k} and ||f||_p^p = ||f^k||_2^2 is the exact sum of w * |f|^p
-    over the kn Clark points of I^k (`clark_rule(inner, power=k)`).  For
-    larger even p, ||f||_p is the trapezoid mean over the nodes of that
-    grid, where |f|^p is rational with poles only at the zeros of I and
-    their reflections.  For any other p, |f|^p also has branch points at
-    the zeros of f, which approach the circle as |z| does, and the mean
-    runs over the nodes of `grid_for_radius(max(|z|, |lambda_k|))` over
-    all probes.
+    `grid_for_radius(max |lambda_k|)` and at most GRID_MAX_M, f and
+    T_conj(a) f lie in K_I, so f^k lies in K_{I^k} and
+    ||f||_p^p = ||f^k||_2^2 is the exact sum of w * |f|^p over the kn
+    Clark points of I^k (`clark_rule(inner, power=k)`).  For larger even
+    p, ||f||_p is the trapezoid mean over the nodes of that grid, where
+    |f|^p is rational with poles only at the zeros of I and their
+    reflections; a grid above GRID_MAX_M nodes raises UnitDiscError.  For
+    any other p, |f|^p also has branch points at the zeros of f, which
+    approach the circle as |z| does, and the mean runs over the nodes of
+    `grid_for_radius(max(|z|, |lambda_k|))` over all probes.
     """
     params = _as_params(params if params is not None else 2.0)
     poly = _symbol_poly(symbol_coeffs)
@@ -443,23 +467,24 @@ def near_degenerate_probe(
     x = np.array([_conjugate_kernel_coords(inner, z, params.q) for z in probes])
     x = x.reshape(len(probes), inner.degree).T
     coords = np.column_stack([x, adjoint.apply(x)])
-    block = max(1, _PROBE_BLOCK // max(1, coords.shape[1]))
     radius = max(abs(lam) for lam in inner.zeros)
     p = params.p
-    if p % 2.0 == 0.0 and p / 2.0 * inner.degree <= _grid_band(radius)[0]:
+    if p % 2.0 == 0.0 and p / 2.0 * inner.degree <= min(_grid_band(radius)[0], GRID_MAX_M):
         nodes, weights = clark_rule(inner, power=int(p) // 2)
-        chunks = (
-            (nodes[i : i + block], weights[i : i + block]) for i in range(0, len(nodes), block)
-        )
+        count = len(nodes)
+
+        def rule(i, j):
+            return nodes[i:j], weights[i:j]
+
     else:
         if p % 2.0 != 0.0:
             radius = max([radius] + [abs(z) for z in probes])
-        m = grid_for_radius(radius).m
-        chunks = (
-            (np.exp(2j * np.pi * np.arange(i, min(i + block, m)) / m), 1.0 / m)
-            for i in range(0, m, block)
-        )
-    norms = _p_norms(inner, coords, p, chunks)
+        count = grid_for_radius(radius).m
+
+        def rule(i, j):
+            return np.exp(2j * np.pi * np.arange(i, j) / count), 1.0 / count
+
+    norms = _p_norms(inner, coords, p, count, rule)
     rows = [
         ProbeRow(
             z=z,

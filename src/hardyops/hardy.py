@@ -337,16 +337,12 @@ def pairing(f: BoundaryFunction, g: BoundaryFunction) -> complex:
     return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
 
 
-def p_mean(values, p: float, weights=None):
-    """(sum of weights * |values|**p)**(1/p) along the last axis, the
-    p-mean when `weights` is omitted; taken relative to the largest
-    modulus so that no power overflows or underflows for large p."""
+def p_mean(values, p: float):
+    """(mean of |values|**p)**(1/p) along the last axis, taken relative to
+    the largest modulus so that no power overflows or underflows for large p."""
     mod = np.abs(values)
     top = np.maximum(mod.max(axis=-1, keepdims=True), np.finfo(float).tiny)
-    mod /= top
-    np.power(mod, p, out=mod)
-    total = mod.mean(axis=-1) if weights is None else np.sum(mod * weights, axis=-1)
-    return top[..., 0] * total ** (1.0 / p)
+    return top[..., 0] * np.mean((mod / top) ** p, axis=-1) ** (1.0 / p)
 
 
 def hp_norm(f: BoundaryFunction, params) -> float:

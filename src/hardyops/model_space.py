@@ -31,9 +31,9 @@ CAUCHY_KIND = "cauchy_kernels"
 #: Relative residual allowed when expanding a function in a basis.
 EXPANSION_TOL = 1e-8
 
-#: Most values (zeros times points) in one temporary of `tm_eval` and of
-#: the Clark phase.
-_TM_BLOCK = 1 << 14
+#: Most values (zeros times points) in one temporary of the Clark phase,
+#: and most Clark nodes refined at once.
+_CLARK_BLOCK = 1 << 14
 
 #: Newton or bisection steps allowed per Clark node; bisection alone
 #: resolves any bracket to rounding in about 55.
@@ -96,33 +96,26 @@ def tm_eval(inner: BlaschkeProduct, coords, points) -> np.ndarray:
 
     e_k is the k-th Takenaka-Malmquist function of the ordered zeros,
     sqrt(1-|lambda_k|^2)/(1 - conj(lambda_k) z) * prod_{j<k} b_{lambda_j}(z),
-    evaluated from this product formula with no grid or FFT: the partial
-    products are running products down the zeros, for _TM_BLOCK values
-    (zeros times points) at a time.  `coords` has the dimension as its
-    first axis; further axes evaluate several elements at once and come
-    first in the result, whose shape is coords.shape[1:] + points.shape.
+    evaluated from this product formula with no grid or FFT.  `coords` has
+    the dimension as its first axis; further axes evaluate several elements
+    at once and come first in the result, whose shape is
+    coords.shape[1:] + points.shape.
     """
     pts = np.asarray(points, dtype=complex)
     coords = np.asarray(coords, dtype=complex)
-    n = inner.degree
-    if coords.shape[:1] != (n,):
+    if coords.shape[:1] != (inner.degree,):
         raise ValueError(
-            f"coordinates of shape {coords.shape} for a model space of dimension {n}"
+            f"coordinates of shape {coords.shape} for a model space of dimension {inner.degree}"
         )
-    flat = coords.reshape(n, -1).T
-    lam = np.asarray(sorted_zeros(inner), dtype=complex)[:, None]
-    scale = np.sqrt(1.0 - np.abs(lam) ** 2)
-    z = pts.ravel()
-    out = np.empty((flat.shape[0], z.size), dtype=complex)
-    step = max(1, _TM_BLOCK // max(n, 1))
-    for i in range(0, z.size, step):
-        block = z[i : i + step]
-        den = 1.0 - np.conj(lam) * block
-        e = scale / den
-        e[1:] *= np.cumprod((block - lam[:-1]) / den[:-1], axis=0)
-        # row by row, so that no value depends on the other coordinates
-        for row, c in zip(out, flat):
-            row[i : i + step] = c @ e
+    flat = coords.reshape(inner.degree, -1)
+    out = np.zeros(flat.shape[1:] + pts.shape, dtype=complex)
+    partial = np.ones_like(pts)
+    for zk, ck in zip(sorted_zeros(inner), flat):
+        den = 1.0 - np.conj(zk) * pts
+        # zero coordinates add nothing, so identity coordinates cost O(n * m)
+        used = np.flatnonzero(ck)
+        out[used] += np.multiply.outer(ck[used], np.sqrt(1.0 - abs(zk) ** 2) / den * partial)
+        partial = partial * (pts - zk) / den
     return out.reshape(coords.shape[1:] + pts.shape)
 
 
@@ -131,11 +124,11 @@ def _clark_phase(zeros, power: int, count: int, theta: np.ndarray):
     the phase of z^extra * I^power up to a constant, and Phi'(theta) =
     extra + power*sum_k (1-|lambda_k|^2)/|1 - lambda_k e^{-i theta}|^2 with
     extra = count - power*n, summed over blocks of zeros so that no
-    temporary exceeds _TM_BLOCK values or len(theta)."""
+    temporary exceeds _CLARK_BLOCK values or len(theta)."""
     rotation = np.exp(-1j * theta)
     arg = np.zeros(theta.shape)
     slope = np.full(theta.shape, float(count - power * len(zeros)))
-    step = max(1, _TM_BLOCK // max(theta.size, 1))
+    step = max(1, _CLARK_BLOCK // max(theta.size, 1))
     for i in range(0, len(zeros), step):
         lam = zeros[i : i + step, None]
         w = 1.0 - lam * rotation
@@ -195,7 +188,7 @@ def clark_rule(inner: BlaschkeProduct, power: int = 1, extra: int = 0):
     Phi(theta) = N*theta + arg c^power + 2*power*sum_k arg(1 - lambda_k e^{-i theta})
     of J on the circle: each arg lies in (-pi/2, pi/2), so Phi needs no
     unwrapping, and it increases with Phi' = |J'|.  Brackets come from N
-    equispaced samples of Phi, and `_clark_roots` refines _TM_BLOCK nodes
+    equispaced samples of Phi, and `_clark_roots` refines _CLARK_BLOCK nodes
     at a time, so memory is O(N) whatever n, about 64 bytes a node.
     Only the zeros enter, not S_I.  A node left unresolved after
     _CLARK_MAX_ITER steps raises IllConditionedError.
@@ -211,14 +204,14 @@ def clark_rule(inner: BlaschkeProduct, power: int = 1, extra: int = 0):
 
     grid = 2.0 * np.pi * np.arange(count + 1) / count
     sampled = np.concatenate(
-        [phase(grid[i : i + _TM_BLOCK])[0] for i in range(0, count + 1, _TM_BLOCK)]
+        [phase(grid[i : i + _CLARK_BLOCK])[0] for i in range(0, count + 1, _CLARK_BLOCK)]
     )
     sampled[-1] = sampled[0] + 2.0 * np.pi * count
     # a few roundings of the largest terms of Phi
     floor = 12.0 * np.finfo(float).eps * np.abs(sampled[[0, -1]]).max()
     theta, weights = np.empty(count), np.empty(count)
-    for i in range(0, count, _TM_BLOCK):
-        j = np.arange(i, min(i + _TM_BLOCK, count))
+    for i in range(0, count, _CLARK_BLOCK):
+        j = np.arange(i, min(i + _CLARK_BLOCK, count))
         targets = sampled[0] + 2.0 * np.pi * (j + 0.5)
         theta[j], weights[j] = _clark_roots(phase, grid, sampled, targets, floor)
     return np.exp(1j * theta), weights

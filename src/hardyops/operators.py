@@ -186,11 +186,10 @@ def _tm_shift(zeros) -> np.ndarray:
     lam = np.asarray(zeros, dtype=complex)
     n = len(lam)
     w = np.sqrt(1.0 - np.abs(lam) ** 2)
-    # column j multiplies -conj(lambda_l) down its rows from l = j+1 on
-    shifted = -np.conj(np.concatenate(([0.0], lam[:-1])))
-    run = np.cumprod(np.where(np.tri(n, k=-2, dtype=bool), shifted[:, None], 1.0), axis=0)
-    S = np.tril(np.outer(w, w) * run, k=-1)
-    np.fill_diagonal(S, lam)
+    S = np.diag(lam)
+    for j in range(n - 1):
+        run = np.cumprod(np.concatenate(([1.0], -np.conj(lam[j + 1 : n - 1]))))
+        S[j + 1 :, j] = w[j + 1 :] * w[j] * run
     return S
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -568,6 +569,26 @@ def test_sweep_probe_radius_zero_near_circle_at_p2(tmp_path):
     row = out.read_text(encoding="utf-8").split("\n")[1].split(",")
     inner = parse_config(doc).inner
     assert float(row[3]) == pytest.approx(np.sqrt(1.0 - abs(inner(0.2)) ** 2), rel=1e-9)
+
+
+def test_sweep_probe_radius_zero_too_close_to_circle_large_even_p_exits_3(tmp_path, capsys):
+    # k*n = 2^25 Clark points of I^k would be more than GRID_MAX_M = 2^23,
+    # so the probe takes the grid route, and grid_for_radius(1 - 1e-6)
+    # refuses its 2^26 nodes before any is allocated
+    doc = base_config()
+    doc["inner"] = {"zeros": [1.0 - 1e-6, -0.5]}
+    doc["p"] = float(2**25)
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2]})
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--config", cfg, "--family", fam])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1 << 20
+    assert f"m={2**26}" in capsys.readouterr().err
 
 
 def test_sweep_determinism(tmp_path):
