@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -80,6 +81,17 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return len(self.zeros)
+
+    @cached_property
+    def sup_data(self) -> tuple:
+        """(c * Pz, Q, the roots of Q, I on SUP_POINTS) for I = c * Pz / Q,
+        computed once per product: every Bezout solve on this inner reads
+        them.  The arrays are read-only."""
+        q = as_poly(self.denominator())
+        data = (self.numerator(), q, P.polyroots(q), blaschke_eval(self, SUP_POINTS))
+        for arr in data:
+            arr.flags.writeable = False
+        return data
 
     def __call__(self, z):
         return blaschke_eval(self, z)
@@ -156,17 +168,12 @@ class RationalFunction:
         den = as_poly(self.den)
         if np.all(den == 0):
             raise ValueError("denominator is identically zero")
-        num, den = _reduce(num, den)
-        lead = den[-1]
-        num = num / lead
-        den = den / lead
-        if len(den) > 1:
-            roots = P.polyroots(den)
-            bad = np.abs(roots) <= 1.0 + ZERO_MARGIN
-            if np.any(bad):
-                raise UnitDiscError(
-                    f"denominator roots {roots[bad]} lie in or too near the closed unit disc"
-                )
+        num, den, roots = _lowest_terms(num, den, P.polyroots(den))
+        bad = np.abs(roots) <= 1.0 + ZERO_MARGIN
+        if np.any(bad):
+            raise UnitDiscError(
+                f"denominator roots {roots[bad]} lie in or too near the closed unit disc"
+            )
         num.flags.writeable = False
         den.flags.writeable = False
         object.__setattr__(self, "num", num)
@@ -203,22 +210,30 @@ class RationalFunction:
         }
 
 
-def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cancel common roots of num and den (within CIRCLE_ROOT_TOL) by synthetic division."""
-    if len(num) == 1 or len(den) == 1 or np.all(num == 0):
-        return num, den
-    num_roots = list(P.polyroots(num))
-    den_roots = list(P.polyroots(den))
-    for r_d in den_roots:
-        if not num_roots:
-            break
-        dists = [abs(r_d - r_n) for r_n in num_roots]
-        i = int(np.argmin(dists))
-        if dists[i] <= CIRCLE_ROOT_TOL * max(1.0, abs(r_d)):
-            shared = 0.5 * (r_d + num_roots.pop(i))
-            num = _synthetic_div(num, shared)
-            den = _synthetic_div(den, shared)
-    return num, den
+def _lowest_terms(num: np.ndarray, den: np.ndarray, den_roots: np.ndarray):
+    """(num, den, roots) as the RationalFunction of num/den carries them.
+
+    `num` and `den` are trimmed (`as_poly`) and `den_roots` is
+    `P.polyroots(den)`.  Pairs of roots within CIRCLE_ROOT_TOL cancel by
+    synthetic division, matched greedily in the order of `den_roots`; the
+    one root solve on `num` is the only one made.  Both polynomials are
+    then divided by the leading coefficient of the denominator left, and
+    `roots` holds the entries of `den_roots` that did not cancel."""
+    if len(num) > 1 and len(den) > 1 and not np.all(num == 0):
+        num_roots, kept = list(P.polyroots(num)), []
+        for r_d in den_roots:
+            if num_roots:
+                dists = [abs(r_d - r_n) for r_n in num_roots]
+                i = int(np.argmin(dists))
+                if dists[i] <= CIRCLE_ROOT_TOL * max(1.0, abs(r_d)):
+                    shared = 0.5 * (r_d + num_roots.pop(i))
+                    num = _synthetic_div(num, shared)
+                    den = _synthetic_div(den, shared)
+                    continue
+            kept.append(r_d)
+        den_roots = np.array(kept, dtype=complex)
+    lead = den[-1]
+    return num / lead, den / lead, den_roots
 
 
 def factor_difference(F, z_n: complex) -> RationalFunction:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, sorted_zeros
 from .corona import (
     BEZOUT_TOL,
     ZERO_TOL,
@@ -30,7 +30,7 @@ from .corona import (
     min_abs_at_zeros,
     near_degenerate_probe,
 )
-from .errors import CommonZeroError, ConfigError, HardyOpsError
+from .errors import CommonZeroError, ConfigError, HardyOpsError, IllConditionedError
 from .hardy import (
     DEFAULT_N,
     BoundaryFunction,
@@ -42,6 +42,7 @@ from .model_space import _project_samples
 from .operators import (
     RECOVERY_TOL,
     _poly_of_matrix,
+    _tm_shift,
     adjoint_defect,
     symbol_recover,
     tm_compression,
@@ -374,17 +375,27 @@ def run_sweep(config: RunConfig, family) -> str:
         offsets = [
             _parse_complex(t, f"family offset {i}") for i, t in enumerate(family["offsets"])
         ]
+        inner = config.inner
+        symbols = np.array([[-(base + t), 1.0] for t in offsets])
+        if not np.all(np.isfinite(symbols)):
+            raise ConfigError("family zero + offset overflows")
+        # every row's a(S_I)^*, as tm_compression builds it, in one stacked SVD
+        S = _tm_shift(sorted_zeros(inner))
+        adjoints = _poly_of_matrix(symbols, S).conj().swapaxes(-1, -2)
+        sigmas = np.linalg.svd(adjoints, compute_uv=False)[:, -1]
         rows = []
-        for t in offsets:
+        for t, symbol, sigma in zip(offsets, symbols, sigmas):
             w = base + t
-            symbol = np.array([-w, 1.0])
-            bound = min_abs_at_zeros(symbol, config.inner)
-            sigma = tm_compression(config.inner, coanalytic=symbol).sigma_min()
             try:
-                cert = bezout_solve(symbol, config.inner)
-                delta, sup_u, sup_v = cert.delta, cert.sup_u, cert.sup_v
+                cert = bezout_solve(symbol, inner)
+                delta, bound, sup_u, sup_v = cert.delta, cert.zero_bound, cert.sup_u, cert.sup_v
             except CommonZeroError:
                 delta, sup_u, sup_v = 0.0, float("nan"), float("nan")
+                bound = min_abs_at_zeros(symbol, inner)
+            except IllConditionedError as exc:
+                raise IllConditionedError(
+                    f"symbol_zero row at offset {t:.12g}, zero {w:.12g}: {exc}"
+                ) from exc
             rows.append(
                 (
                     t.real,

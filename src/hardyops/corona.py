@@ -12,6 +12,7 @@ disc is produced, and T_conj(u) inverts the compressed operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -20,6 +21,7 @@ from .blaschke import (
     SUP_POINTS,
     BlaschkeProduct,
     RationalFunction,
+    _lowest_terms,
     as_poly,
     blaschke_eval,
     sorted_zeros,
@@ -81,21 +83,33 @@ _PROBE_NODES = 1 << 8
 class CoronaCertificate:
     """Solution record for a corona pair (a, I).
 
-    `u` and `v` are analytic in the disc with a*u + I*v = 1; `residual` is
-    the largest boundary violation of the identity, `sup_u`/`sup_v` the
-    boundary sup norms of the pair, and `consistent` records agreement
-    between the infimum route and the zeros-of-I route to invertibility.
+    `u` and `v` are analytic in the disc with a*u + I*v = 1; they are
+    built from `u_terms` and `v_terms`, the (numerator, denominator)
+    coefficients as solved, when first read.  `residual` is the largest
+    boundary violation of the identity, `sup_u`/`sup_v` the boundary sup
+    norms of the pair, `zero_bound` the min of |a| over the zeros of I,
+    and `consistent` records agreement between the infimum route and the
+    zeros-of-I route to invertibility.
     """
 
     symbol: tuple
     inner: BlaschkeProduct
     delta: float
-    u: RationalFunction
-    v: RationalFunction
+    u_terms: tuple
+    v_terms: tuple
     residual: float
     sup_u: float
     sup_v: float
+    zero_bound: float
     consistent: bool
+
+    @cached_property
+    def u(self) -> RationalFunction:
+        return RationalFunction(*self.u_terms)
+
+    @cached_property
+    def v(self) -> RationalFunction:
+        return RationalFunction(*self.v_terms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,15 +236,23 @@ def bezout_solve(
     square Sylvester-style linear system plus one iterative refinement
     pass; then u = U/Q and v = W.  The boundary residual on SUP_POINTS
     must come out below BEZOUT_TOL or the solve is reported as failed; the
-    sup norms of u and v are read off the same boundary values.  A caller
+    sup norms of u and v are read off the same boundary values.
+
+    Those values come from the solved polynomials by Horner's rule, with
+    the coefficients that `RationalFunction(U, Q)` carries: U/Q reduced
+    to lowest terms against the roots of Q and divided by the leading
+    coefficient left, so they are the values of the certificate's u and
+    v.  The rational functions u and v themselves, with their root
+    finding, are built only when first read.  c * Pz, Q, its roots and I
+    on SUP_POINTS come from `inner.sup_data`, once per inner.  A caller
     that already holds `corona_delta` of this pair passes it as `delta` to
     skip the search.
     """
     poly = _symbol_poly(symbol_coeffs)
     if delta is None:
         delta = corona_delta(poly, inner)
-    zero_route = min_abs_at_zeros(poly, inner) > ZERO_TOL
-    consistent = (delta > 0.0) == zero_route
+    zero_bound = min_abs_at_zeros(poly, inner)
+    consistent = (delta > 0.0) == (zero_bound > ZERO_TOL)
     if delta == 0.0:
         raise CommonZeroError(
             "symbol vanishes at a zero of the inner function; no bounded "
@@ -239,16 +261,12 @@ def bezout_solve(
 
     n = inner.degree
     d_a = len(poly) - 1
+    cpz, q, q_roots, inner_sup = inner.sup_data
     if d_a == 0:
-        u = RationalFunction([1.0 / poly[0]], [1.0])
-        v = RationalFunction([0.0], [1.0])
+        u_terms, u_roots, w = ([1.0 / poly[0]], [1.0]), [], [0.0]
     elif n == 0:
-        u = RationalFunction([0.0], [1.0])
-        v = RationalFunction([1.0 / inner.constant], [1.0])
+        u_terms, u_roots, w = ([0.0], [1.0]), [], [1.0 / inner.constant]
     else:
-        pz = P.polyfromroots(inner.zeros)
-        q = inner.denominator()
-        cpz = inner.constant * pz
         size = n + d_a
         M = np.zeros((size, size), dtype=complex)
         for i in range(n):
@@ -258,18 +276,15 @@ def bezout_solve(
         rhs = np.zeros(size, dtype=complex)
         rhs[: len(q)] = q
         sol = np.linalg.solve(M, rhs)
-        residual_poly = P.polysub(
-            q, P.polyadd(P.polymul(poly, sol[:n]), P.polymul(cpz, sol[n:]))
-        )
-        correction = np.zeros(size, dtype=complex)
-        correction[: len(residual_poly)] = residual_poly
+        correction = -(np.convolve(poly, sol[:n]) + np.convolve(cpz, sol[n:]))
+        correction[: len(q)] += q
         sol = sol + np.linalg.solve(M, correction)
-        u = RationalFunction(sol[:n], q)
-        v = RationalFunction(sol[n:], [1.0])
+        u_terms, u_roots, w = (sol[:n], q), q_roots, sol[n:]
 
-    u_vals = u.evaluate(SUP_POINTS)
-    v_vals = v.evaluate(SUP_POINTS)
-    lhs = _horner(poly, SUP_POINTS) * u_vals + blaschke_eval(inner, SUP_POINTS) * v_vals
+    num, den, _ = _lowest_terms(as_poly(u_terms[0]), as_poly(u_terms[1]), u_roots)
+    u_vals = _horner(num, SUP_POINTS) / _horner(den, SUP_POINTS)
+    v_vals = _horner(as_poly(w), SUP_POINTS)
+    lhs = _horner(poly, SUP_POINTS) * u_vals + inner_sup * v_vals
     residual = float(np.abs(lhs - 1.0).max())
     if not residual <= BEZOUT_TOL:
         raise IllConditionedError(
@@ -279,11 +294,12 @@ def bezout_solve(
         symbol=tuple(complex(c) for c in poly),
         inner=inner,
         delta=delta,
-        u=u,
-        v=v,
+        u_terms=u_terms,
+        v_terms=(w, [1.0]),
         residual=residual,
         sup_u=float(np.max(np.abs(u_vals))),
         sup_v=float(np.max(np.abs(v_vals))),
+        zero_bound=zero_bound,
         consistent=consistent,
     )
 

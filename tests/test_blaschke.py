@@ -167,6 +167,31 @@ def test_rational_reduction_and_validation():
         RationalFunction([1.0], [-0.5, 1.0])  # pole at 0.5 inside the disc
 
 
+def test_rational_solves_each_root_set_once(monkeypatch):
+    real = P.polyroots
+    calls = []
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return real(coeffs)
+
+    monkeypatch.setattr(P, "polyroots", counted)
+    # no common root: one solve for the numerator, one for the denominator
+    RationalFunction(P.polyfromroots([0.2, -0.4j]), P.polyfromroots([2.0, 3.0j, -1.5]))
+    assert calls == [4, 3]
+    # a common root still cancels, and the disc check reads the roots left
+    calls.clear()
+    r = RationalFunction(P.polyfromroots([2.0, 0.5]), P.polyfromroots([2.0, -3.0]))
+    assert len(calls) == 2
+    np.testing.assert_allclose(r.num, [-0.5, 1.0], atol=1e-14)
+    np.testing.assert_allclose(r.den, [3.0, 1.0], atol=1e-14)
+    # a denominator root inside the disc still raises, cancelled or not
+    with pytest.raises(UnitDiscError, match="0.5"):
+        RationalFunction(P.polyfromroots([0.1, 0.2]), P.polyfromroots([2.0, 0.5]))
+    with pytest.raises(UnitDiscError, match="0.5"):
+        RationalFunction(P.polyfromroots([2.0, 0.1]), P.polyfromroots([2.0, 0.5]))
+
+
 def test_rational_product_and_sup():
     a = RationalFunction([1.0], [1.0, -0.5])
     b = RationalFunction([0.0, 1.0], [1.0])

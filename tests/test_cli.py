@@ -526,7 +526,87 @@ def test_sweep_ill_conditioned_row_exits_3(tmp_path, capsys):
         {"kind": "symbol_zero", "zero": [-0.13, 0.06], "offsets": [0.1, 1e-6]},
     )
     assert main(["sweep", "--config", cfg, "--family", fam]) == 3
-    assert "Bezout identity residual" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Bezout identity residual" in err
+    assert "symbol_zero row at offset 1e-06+0j, zero -0.129999+0.06j:" in err
+
+
+def _symbol_zero_inners(rng):
+    """Seeded inners of degree 1 to 8 whose first zero is the swept one; the
+    degree-5 one repeats it."""
+    for degree in range(1, 9):
+        radii = 0.8 * np.sqrt(rng.uniform(size=degree))
+        zeros = list(radii * np.exp(2j * np.pi * rng.uniform(size=degree)))
+        if degree == 5:
+            zeros[1] = zeros[0]
+        yield zeros
+
+
+def test_sweep_symbol_zero_cells_match_the_per_row_route():
+    from hardyops import CommonZeroError, bezout_solve, min_abs_at_zeros, tm_compression
+
+    offsets = [0.5, [0.1, -0.2], 0.05, [0.0, 0.02], 0.0]
+    for zeros in _symbol_zero_inners(np.random.default_rng(131)):
+        doc = {"inner": {"zeros": [[z.real, z.imag] for z in zeros]}, "symbol": [1.0]}
+        config = parse_config(doc)
+        zero = [zeros[0].real, zeros[0].imag]
+        family = {"kind": "symbol_zero", "zero": zero, "offsets": offsets}
+        rows = run_sweep(config, family).splitlines()[1:]
+        assert len(rows) == len(offsets)
+        for row, t in zip(rows, offsets):
+            t = complex(*t) if isinstance(t, list) else complex(t)
+            w = config.inner.zeros[0] + t
+            symbol = np.array([-w, 1.0])
+            sigma = tm_compression(config.inner, coanalytic=symbol).sigma_min()
+            try:
+                cert = bezout_solve(symbol, config.inner)
+                delta, sup_u, sup_v = cert.delta, cert.sup_u, cert.sup_v
+            except CommonZeroError:
+                delta, sup_u, sup_v = 0.0, float("nan"), float("nan")
+            bound = min_abs_at_zeros(symbol, config.inner)
+            expected = [t.real, t.imag, w.real, w.imag, delta, bound, sigma]
+            cells = row.split(",")
+            assert cells[:7] == [format(x, ".12g") for x in expected]
+            assert cells[7] == ("1" if sigma > cli.INVERTIBILITY_TOL else "0")
+            assert cells[8:] == [format(sup_u, ".12g"), format(sup_v, ".12g")]
+        assert rows[-1].split(",")[8:] == ["nan", "nan"]
+
+
+def test_sweep_symbol_zero_builds_no_rational_function(tmp_path, monkeypatch):
+    from hardyops import blaschke, corona
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symbol_zero row built a RationalFunction")
+
+    monkeypatch.setattr(corona, "RationalFunction", refuse)
+    monkeypatch.setattr(blaschke, "RationalFunction", refuse)
+    cfg = write_json(tmp_path, "cfg.json", base_config())
+    fam = write_json(
+        tmp_path, "fam.json", {"kind": "symbol_zero", "zero": 0.3, "offsets": [0.5, 0.1, 0.0]}
+    )
+    assert main(["sweep", "--config", cfg, "--family", fam]) == 0
+
+
+def test_sweep_symbol_zero_evaluates_inner_on_sup_points_once(tmp_path, monkeypatch):
+    from hardyops import blaschke, corona
+    from hardyops.blaschke import SUP_POINTS
+
+    real = blaschke.blaschke_eval
+    calls = []
+
+    def counted(inner, z):
+        calls.append(z is SUP_POINTS)
+        return real(inner, z)
+
+    monkeypatch.setattr(blaschke, "blaschke_eval", counted)
+    monkeypatch.setattr(corona, "blaschke_eval", counted)
+    offsets = [0.5, 0.2, [0.0, 0.4], 0.05, 0.0]
+    cfg = write_json(tmp_path, "cfg.json", base_config())
+    fam = write_json(
+        tmp_path, "fam.json", {"kind": "symbol_zero", "zero": 0.3, "offsets": offsets}
+    )
+    assert main(["sweep", "--config", cfg, "--family", fam]) == 0
+    assert calls.count(True) == 1
 
 
 def test_sweep_probe_radius(tmp_path):
@@ -621,6 +701,7 @@ def bad_families():
         {"kind": "probe_radius", "radii": [0.2], "angle": float("nan")},
         {"kind": "probe_radius", "radii": [0.2], "angle": float("inf")},
         {"kind": "probe_radius", "radii": [float("nan")]},
+        {"kind": "symbol_zero", "zero": 1e308, "offsets": [0.1, 1e308]},
     ]
 
 

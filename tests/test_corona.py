@@ -33,7 +33,7 @@ from hardyops import (
     toeplitz_apply,
 )
 from hardyops import corona
-from hardyops.blaschke import as_poly
+from hardyops.blaschke import SUP_POINTS, as_poly
 from hardyops.hardy import p_mean
 from hardyops.model_space import _project_samples
 
@@ -181,10 +181,15 @@ def test_non_finite_symbol_rejected():
 
 
 def test_bezout_nan_residual_fails_gate(monkeypatch):
-    # a NaN boundary residual must fail the gate, not pass as "not above"
-    monkeypatch.setattr(
-        corona, "blaschke_eval", lambda inner, z: np.full(np.shape(z), np.nan + 0j)
-    )
+    # a NaN boundary residual must fail the gate, not pass as "not above";
+    # the inner's boundary values come from `BlaschkeProduct.sup_data`
+    from hardyops import blaschke
+
+    def nan_eval(inner, z):
+        return np.full(np.shape(z), np.nan + 0j)
+
+    monkeypatch.setattr(corona, "blaschke_eval", nan_eval)
+    monkeypatch.setattr(blaschke, "blaschke_eval", nan_eval)
     with pytest.raises(IllConditionedError):
         bezout_solve([-0.7, 1.0], blaschke_make([0.3, -0.5]), delta=0.5)
 
@@ -273,6 +278,44 @@ def test_bezout_solutions_analytic_in_disc():
     for rational in (cert.u, cert.v):
         if len(rational.den) > 1:
             assert np.all(np.abs(P.polyroots(rational.den)) > 1.0)
+
+
+@pytest.mark.parametrize(
+    "zeros, symbol, cancels",
+    [
+        ([0.3, -0.5], [-0.7, 1.0], False),
+        ([0.5, -0.3], [1.0, -0.5], True),  # a vanishes at 2 = 1/conj(0.5), a root of Q
+        ([0.5j, -0.3, 0.2], [1.0, 0.5j], True),
+        ([0.5, 0.5, -0.3], [1.0, -0.5], True),  # one root of the double one cancels
+    ],
+)
+def test_bezout_figures_are_those_of_the_built_pair(zeros, symbol, cancels):
+    # the gate and the sup norms come from the solved polynomials; they must
+    # be exactly the values of the u and v the certificate builds when read
+    inner = blaschke_make(zeros)
+    cert = bezout_solve(symbol, inner)
+    assert "u" not in vars(cert) and "v" not in vars(cert)
+    u = cert.u.evaluate(SUP_POINTS)
+    v = cert.v.evaluate(SUP_POINTS)
+    a = P.polyval(SUP_POINTS, np.array(cert.symbol))
+    lhs = a * u + blaschke_eval(inner, SUP_POINTS) * v
+    assert cert.residual == np.abs(lhs - 1.0).max()
+    assert cert.sup_u == np.abs(u).max()
+    assert cert.sup_v == np.abs(v).max()
+    assert cert.zero_bound == min_abs_at_zeros(symbol, inner)
+    assert (len(cert.u.den) < len(as_poly(cert.u_terms[1]))) == cancels
+
+
+def test_inner_sup_data():
+    inner = blaschke_make([0.3, -0.5, 0.2j])
+    cpz, q, q_roots, values = inner.sup_data
+    assert inner.sup_data is inner.sup_data
+    np.testing.assert_array_equal(cpz, inner.numerator())
+    reflected = 1.0 / np.conj(inner.zeros)
+    np.testing.assert_allclose(P.polyval(reflected, q), 0.0, atol=1e-14)
+    np.testing.assert_allclose(np.sort_complex(q_roots), np.sort_complex(reflected))
+    np.testing.assert_array_equal(values, blaschke_eval(inner, SUP_POINTS))
+    assert not any(arr.flags.writeable for arr in inner.sup_data)
 
 
 def test_certificate_serialization():
