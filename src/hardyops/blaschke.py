@@ -168,7 +168,21 @@ class RationalFunction:
         den = as_poly(self.den)
         if np.all(den == 0):
             raise ValueError("denominator is identically zero")
-        num, den, roots = _lowest_terms(num, den, P.polyroots(den))
+        roots = P.polyroots(den) if len(den) > 1 else np.empty(0, dtype=complex)
+        self._settle(*_lowest_terms(num, den, roots))
+
+    @classmethod
+    def _reduced(cls, num: np.ndarray, den: np.ndarray, roots) -> "RationalFunction":
+        """num/den as `_lowest_terms` returns it with the roots `roots` of
+        den: the constructor's disc check without its root solves."""
+        out = object.__new__(cls)
+        out._settle(num, den, roots)
+        return out
+
+    def _settle(self, num: np.ndarray, den: np.ndarray, roots) -> None:
+        """Refuse a denominator root in or near the closed disc, then hold
+        num and den read-only."""
+        roots = np.asarray(roots, dtype=complex)
         bad = np.abs(roots) <= 1.0 + ZERO_MARGIN
         if np.any(bad):
             raise UnitDiscError(

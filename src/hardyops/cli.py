@@ -246,7 +246,7 @@ def _check_commutant(config: RunConfig) -> dict:
     n = inner.degree
     rng = np.random.default_rng(config.seed)
     combos = rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
-    S = tm_compression(inner, analytic=[0.0, 1.0]).entries
+    S = _tm_shift(sorted_zeros(inner))
     mats = np.concatenate(([_poly_of_matrix(config.symbol, S)], _poly_of_matrix(combos, S)))
     coeffs, residuals, condition = symbol_recover(inner, mats)
     return {

@@ -35,7 +35,7 @@ from .hardy import (
     grid_for_radius,
     hp_norm,
 )
-from .model_space import _project_samples, clark_rule, tm_eval
+from .model_space import _project_samples, _tm_rows, clark_rule
 from .operators import tm_compression, toeplitz_apply
 
 #: Values of min_k |a(z_k)| at or below this are treated as a common zero.
@@ -84,8 +84,11 @@ class CoronaCertificate:
     """Solution record for a corona pair (a, I).
 
     `u` and `v` are analytic in the disc with a*u + I*v = 1; they are
-    built from `u_terms` and `v_terms`, the (numerator, denominator)
-    coefficients as solved, when first read.  `residual` is the largest
+    built when first read, u from `u_reduced`, the (numerator,
+    denominator, denominator roots) of U/Q in lowest terms as
+    `bezout_solve` reduced it, so with no further root solve, and v from
+    `v_terms`.  `u_terms` and `v_terms` hold the (numerator, denominator)
+    coefficients as solved.  `residual` is the largest
     boundary violation of the identity, `sup_u`/`sup_v` the boundary sup
     norms of the pair, `zero_bound` the min of |a| over the zeros of I,
     and `consistent` records agreement between the infimum route and the
@@ -97,6 +100,7 @@ class CoronaCertificate:
     delta: float
     u_terms: tuple
     v_terms: tuple
+    u_reduced: tuple
     residual: float
     sup_u: float
     sup_v: float
@@ -105,7 +109,7 @@ class CoronaCertificate:
 
     @cached_property
     def u(self) -> RationalFunction:
-        return RationalFunction(*self.u_terms)
+        return RationalFunction._reduced(*self.u_reduced)
 
     @cached_property
     def v(self) -> RationalFunction:
@@ -158,13 +162,18 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
     Returns exactly 0.0 when the symbol nearly vanishes at a zero of the
     inner function (the only way the infimum can vanish for a finite
     product).  Otherwise a fixed polar scan seeded with the zeros of both
-    factors is refined by 48 shrinking boxes around the best point.  Since
-    f >= |a| everywhere and f(z_k) = |a(z_k)|, no scan point with
-    |a| > min_k |a(z_k)| can be the argmin, so I is evaluated on the
-    others alone.  The refinement evaluates I on batches of boxes, one
-    broadcast over the factors per batch.  The result is a value of f, so
-    an upper estimate of the infimum; the tests hold it within DELTA_TOL
-    of the minimum of f over a dense seeded sample.
+    factors is refined by 48 shrinking boxes around the best point
+    (`_refine`).  Since f >= |a| everywhere and f(z_k) = |a(z_k)|, no scan
+    point with |a| > min_k |a(z_k)| can be the argmin, so I is evaluated on
+    the others alone.
+
+    When the scan's best point is a seed, a root of a or a zero of I, the
+    refinement often cannot move: `_stays` then proves, from Lipschitz and
+    pseudo-hyperbolic bounds on I, that no point of the 48 boxes around it
+    has a computed value below the best one, and the search is skipped.
+    Either way the result is the float the box-by-box search returns: a
+    value of f, so an upper estimate of the infimum; the tests hold it
+    within DELTA_TOL of the minimum of f over a dense seeded sample.
     """
     poly = _symbol_poly(symbol_coeffs)
     if len(poly) == 1 and poly[0] == 0.0:
@@ -182,35 +191,42 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
     scan = (_SCAN_RADII * _SCAN_CIRCLE).ravel()
     scan_abs_a = np.abs(_horner(poly, scan))
     keep = scan_abs_a <= bound
-    seed_keep = seed_abs_a <= bound
+    seed_keep = np.flatnonzero(seed_abs_a <= bound)
     z = np.concatenate([scan[keep], seeds[seed_keep]])
     vals = np.concatenate([scan_abs_a[keep], seed_abs_a[seed_keep]])
-    vals += np.abs(blaschke_eval(inner, z))
+    abs_i = np.abs(blaschke_eval(inner, z))
+    vals += abs_i
     best_idx = int(np.argmin(vals))
     center = complex(z[best_idx])
     best = float(vals[best_idx])
+    seed = best_idx - (z.size - seed_keep.size)
+    if seed >= 0:
+        own = int(seed_keep[seed])
+        at_zero = own if own < inner.degree else None
+        if _stays(poly, inner, center, best, float(abs_i[best_idx]), at_zero):
+            return best
+    return _refine(poly, inner, center, best)
 
-    # Boxes are evaluated in batches as if the centre stayed put.  The
-    # first box that improves on `best` moves it, and the boxes after that
-    # one are evaluated again around the new centre: the box-by-box search
-    # exactly.  A search that moves does so on most of its first 30-odd
-    # boxes and then stops, so a batch after a move holds one box and the
-    # size doubles while no box moves.  A search whose argmin is a zero of
-    # I never moves and takes batches as large as _ZOOM_BATCH allows: six
-    # at degree 6.
+
+def _refine(poly: np.ndarray, inner: BlaschkeProduct, center: complex, best: float) -> float:
+    """The 48-box search of `corona_delta` from the point `center`, whose
+    value of f is `best`: each box of 9x9 points is centred at the best
+    point so far, and the first point below `best` moves it.
+
+    Boxes are evaluated in batches as if the centre stayed put.  The
+    first box that improves on `best` moves it, and the boxes after that
+    one are evaluated again around the new centre: the box-by-box search
+    exactly.  A search that moves does so on most of its first 30-odd
+    boxes and then stops, so a batch after a move holds one box and the
+    size doubles while no box moves.  A search that never moves takes
+    batches as large as _ZOOM_BATCH allows: six at degree 6.
+    """
     zeros = np.array(inner.zeros, dtype=complex)[:, None, None]
-    zeros_conj = zeros.conj()
     most = max(1, _ZOOM_BATCH // (_ZOOM_BOX.size * max(inner.degree, 1)))
     step, boxes = 0, most
     while step < _ZOOM_H.size:
-        h = _ZOOM_H[step : step + boxes, None]
-        local = center + h * _ZOOM_BOX
-        if abs(center) + 1.5 * h[0, 0] >= 1.0:  # the boxes may leave the disc
-            r = np.abs(local)
-            local = np.where(r > 1.0, local / np.maximum(r, 1e-300), local)
-        factors = (local - zeros) / (1.0 - zeros_conj * local)
-        lv = np.abs(_horner(poly, local))
-        lv += np.abs(factors.prod(axis=0, initial=inner.constant))
+        local = _boxes(center, _ZOOM_H[step : step + boxes, None])
+        lv = _box_values(poly, inner, zeros, local)
         moved = np.flatnonzero(lv.min(axis=1) < best)
         if moved.size == 0:
             step += len(lv)
@@ -223,6 +239,111 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
         step += j + 1
         boxes = 1
     return best
+
+
+def _boxes(center: complex, h: np.ndarray) -> np.ndarray:
+    """The 9x9 boxes of half-widths `h` (a column) around `center`, with
+    their points outside the closed disc projected onto the circle."""
+    local = center + h * _ZOOM_BOX
+    if abs(center) + 1.5 * h[0, 0] >= 1.0:  # the boxes may leave the disc
+        r = np.abs(local)
+        local = np.where(r > 1.0, local / np.maximum(r, 1e-300), local)
+    return local
+
+
+def _box_values(
+    poly: np.ndarray, inner: BlaschkeProduct, zeros: np.ndarray, local: np.ndarray
+) -> np.ndarray:
+    """|a| + |I| at the boxes `local`, I by one broadcast over its
+    `zeros`, shaped (n, 1, 1)."""
+    factors = (local - zeros) / (1.0 - zeros.conj() * local)
+    lv = np.abs(_horner(poly, local))
+    lv += np.abs(factors.prod(axis=0, initial=inner.constant))
+    return lv
+
+
+def _stays(
+    poly: np.ndarray,
+    inner: BlaschkeProduct,
+    s: complex,
+    best: float,
+    inner_abs: float,
+    at_zero: int | None,
+) -> bool:
+    """True when `_refine(poly, inner, s, best)` provably returns `best`.
+
+    While the search stays at s it visits the points p of the 48 boxes
+    centred there, projected onto the closed disc as `_refine` projects
+    them.  It moves only to a p whose computed value A_p + I_p, with
+    A_p = |a(p)| from `_horner` as the search computes it, lies below
+    `best`; since I_p >= 0 and rounding is monotone, only the p with
+    A_p < best can.  For these, with t = |p - s| and T the largest such t
+    in the box of p, a lower bound on |I(p)| over |z - s| <= T shows
+    A_p + I_p >= best:
+
+    * at a root of a (`at_zero` None), |I(p)| >= |I(s)| - L*t with
+      L = sum_k (1-|l_k|^2)/g_k^2 * prod_{j != k} B_j, where g_k bounds
+      |1 - conj(l_k) z| from below and B_j bounds |b_{l_j}(z)| from above
+      by the pseudo-hyperbolic triangle inequality, from rho(s, l_j) and
+      rho_T >= rho(z, s);
+    * at the zero l_j = s (index `at_zero`), |I(p)| >= prod of the lower
+      pseudo-hyperbolic bounds of the other factors times
+      |b_{l_j}(p)| >= t/(1 - |l_j|^2 + |l_j|*t).
+
+    Rounding allowance: any computed |b_{l_k}(z)|, 1 - |l_k|^2 or
+    |1 - conj(l_k) z| with |z| <= 1 is within 16*eps/(1 - |l_k|) of its
+    value relative (a few roundings of quantities at least 1 - |l_k|),
+    so eta = 16*eps*(1 + sum_k 1/(1 - |l_k|)) bounds the relative error of
+    a computed I and of the products above; the distances are widened and
+    the bounds loosened by it, `inner_abs` (the computed |I(s)|) is
+    deflated by it, and `best` is raised by 16*eps relative for the few
+    roundings of the comparison.
+
+    The search's value at s, the centre of every box, must be `best`
+    itself, or the search would move to s: numpy's loops can round a
+    length-1 array differently, as the scan's seeds are when I has one
+    zero and a is constant or I none and a has one root.  So it is taken
+    from the first box, as `_refine` computes it, and compared; every
+    other point at distance 0 from s gets that value too.
+    """
+    eps = np.finfo(float).eps
+    local = _boxes(s, _ZOOM_H[:, None])
+    zeros = np.array(inner.zeros, dtype=complex)[:, None, None]
+    if _box_values(poly, inner, zeros, local[:1])[0, _ZOOM_BOX.size // 2] != best:
+        return False
+    abs_a = np.abs(_horner(poly, local))
+    dist = np.abs(local - s)
+    near = (abs_a < best) & (dist > 0.0)
+    rows = near.any(axis=1)
+    if not rows.any():
+        return True
+    near, abs_a, dist = near[rows], abs_a[rows], dist[rows]
+    lam = zeros.ravel()
+    lam_abs = np.abs(lam)
+    rel = 16.0 * eps / (1.0 - lam_abs)
+    eta = 16.0 * eps + rel.sum()
+    t = dist * (1.0 + eta)
+    T = np.where(near, t, 0.0).max(axis=1, keepdims=True)
+    rs = abs(s)
+    rho_t = T / np.maximum(1.0 - rs * np.minimum(1.0, rs + T) - 4.0 * eps, T)
+    den_s = np.abs(1.0 - lam.conj() * s)
+    rho = np.abs(s - lam) / den_s
+    weight = 1.0 - lam_abs**2
+    if at_zero is None:
+        rho_hi = rho * (1.0 + rel)
+        upper = (rho_hi + rho_t) / (1.0 + rho_hi * rho_t)
+        gap = np.maximum(den_s - lam_abs * T, 1.0 - lam_abs * np.minimum(1.0, rs + T))
+        gap *= 1.0 - rel
+        lip = upper.prod(axis=1) * (weight * (1.0 + rel) / (gap**2 * upper)).sum(axis=1)
+        low = (1.0 - eta) * inner_abs - (1.0 + eta) * lip[:, None] * t
+    else:
+        rho_lo = rho * (1.0 - rel)
+        lower = np.maximum(rho_lo - rho_t, 0.0) / (1.0 - rho_lo * rho_t)
+        lower[:, at_zero] = 1.0
+        own = lam_abs[at_zero]
+        t_lo = dist * (1.0 - eta)
+        low = lower.prod(axis=1)[:, None] * t_lo / (weight[at_zero] * (1.0 + rel[at_zero]) + own * t)
+    return bool(np.all(~near | (abs_a + (1.0 - eta) * low > best * (1.0 + 16.0 * eps))))
 
 
 def bezout_solve(
@@ -242,11 +363,12 @@ def bezout_solve(
     the coefficients that `RationalFunction(U, Q)` carries: U/Q reduced
     to lowest terms against the roots of Q and divided by the leading
     coefficient left, so they are the values of the certificate's u and
-    v.  The rational functions u and v themselves, with their root
-    finding, are built only when first read.  c * Pz, Q, its roots and I
-    on SUP_POINTS come from `inner.sup_data`, once per inner.  A caller
-    that already holds `corona_delta` of this pair passes it as `delta` to
-    skip the search.
+    v.  The rational functions u and v themselves are built only when
+    first read, u from those reduced terms and the roots of Q left, with
+    no root solve of its own.  c * Pz, Q, its roots and I on SUP_POINTS
+    come from `inner.sup_data`, once per inner.  A caller that already
+    holds `corona_delta` of this pair passes it as `delta` to skip the
+    search.
     """
     poly = _symbol_poly(symbol_coeffs)
     if delta is None:
@@ -281,7 +403,7 @@ def bezout_solve(
         sol = sol + np.linalg.solve(M, correction)
         u_terms, u_roots, w = (sol[:n], q), q_roots, sol[n:]
 
-    num, den, _ = _lowest_terms(as_poly(u_terms[0]), as_poly(u_terms[1]), u_roots)
+    num, den, roots = _lowest_terms(as_poly(u_terms[0]), as_poly(u_terms[1]), u_roots)
     u_vals = _horner(num, SUP_POINTS) / _horner(den, SUP_POINTS)
     v_vals = _horner(as_poly(w), SUP_POINTS)
     lhs = _horner(poly, SUP_POINTS) * u_vals + inner_sup * v_vals
@@ -296,6 +418,7 @@ def bezout_solve(
         delta=delta,
         u_terms=u_terms,
         v_terms=(w, [1.0]),
+        u_reduced=(num, den, roots),
         residual=residual,
         sup_u=float(np.max(np.abs(u_vals))),
         sup_v=float(np.max(np.abs(v_vals))),
@@ -419,10 +542,10 @@ def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, count: int, r
     quadrature of `count` nodes whose nodes i:j with their weights (an
     array or one number) are `rule(i, j)`.
 
-    Each chunk of nodes gets one `tm_eval` of the basis, shared by all
-    columns, which then take one matrix product per group of columns; a
-    chunk has at least _PROBE_NODES nodes unless fewer are left, and a
-    group at most _PROBE_BLOCK values.  The sums run relative to the
+    Each chunk of nodes gets one evaluation of the basis (`_tm_rows`),
+    shared by all columns, which then take one matrix product per group
+    of columns; a chunk has at least _PROBE_NODES nodes unless fewer are
+    left, and a group at most _PROBE_BLOCK values.  The sums run relative to the
     largest modulus seen so far, so no power overflows for large p."""
     n, cols = coords.shape
     size = max(_PROBE_NODES, _PROBE_BLOCK // max(n, cols, 1))
@@ -431,7 +554,7 @@ def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, count: int, r
     total = np.zeros(cols)
     for i in range(0, count, size):
         pts, w = rule(i, min(i + size, count))
-        basis = tm_eval(inner, np.eye(n), pts)
+        basis = _tm_rows(inner, pts)
         for j in range(0, cols, width):
             mod = np.abs(coords[:, j : j + width].T @ basis)
             old = top[j : j + width]
@@ -458,7 +581,7 @@ def near_degenerate_probe(
     1/conj(z) cancels.  f is the conjugate kernel C k_z of the model
     space, so the projection leaves it unchanged, and its coordinates in
     the Takenaka-Malmquist basis have a closed form; those of
-    T_conj(a) f are a(S_I)^* times them.  All rows share one `tm_eval`
+    T_conj(a) f are a(S_I)^* times them.  All rows share one evaluation
     of the basis per chunk of nodes, with no FFT (`_p_norms`).
 
     For even p = 2k with k*n at most the node count of

@@ -119,6 +119,19 @@ def tm_eval(inner: BlaschkeProduct, coords, points) -> np.ndarray:
     return out.reshape(coords.shape[1:] + pts.shape)
 
 
+def _tm_rows(inner: BlaschkeProduct, points) -> np.ndarray:
+    """e_0, ..., e_(n-1) at `points` as the rows of one array: `tm_eval` of
+    the identity coordinates, taken straight from its product loop."""
+    pts = np.asarray(points, dtype=complex)
+    out = np.empty((inner.degree,) + pts.shape, dtype=complex)
+    partial = np.ones_like(pts)
+    for k, zk in enumerate(sorted_zeros(inner)):
+        den = 1.0 - np.conj(zk) * pts
+        out[k] = np.sqrt(1.0 - abs(zk) ** 2) / den * partial
+        partial = partial * (pts - zk) / den
+    return out
+
+
 def _clark_phase(zeros, power: int, count: int, theta: np.ndarray):
     """Phi(theta) = count*theta + 2*power*sum_k arg(1 - lambda_k e^{-i theta}),
     the phase of z^extra * I^power up to a constant, and Phi'(theta) =
@@ -234,7 +247,7 @@ def tm_kernel_at_zero(inner: BlaschkeProduct) -> np.ndarray:
 
 def tm_basis(inner: BlaschkeProduct, params, grid: CircleGrid | None = None) -> ModelSpaceBasis:
     """Takenaka-Malmquist basis from the ordered zeros, sampled on the grid
-    through `tm_eval`.
+    through `_tm_rows`.
 
     Element k is the normalized Cauchy kernel at zero k times the partial
     Blaschke product over the earlier zeros; orthonormal under the p=2
@@ -245,7 +258,7 @@ def tm_basis(inner: BlaschkeProduct, params, grid: CircleGrid | None = None) -> 
         raise ValueError("inner function must have degree >= 1")
     params = _as_params(params)
     grid = grid if grid is not None else DEFAULT_GRID
-    samples = tm_eval(inner, np.eye(inner.degree), grid.points)
+    samples = _tm_rows(inner, grid.points)
     funcs = tuple(BoundaryFunction.from_samples(grid, row) for row in samples)
     return ModelSpaceBasis(inner, TM_KIND, funcs, params)
 

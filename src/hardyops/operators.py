@@ -50,10 +50,10 @@ from .model_space import (
     TM_KIND,
     ModelSpaceBasis,
     _project_samples,
+    _tm_rows,
     clark_rule,
     expand,
     tm_basis,
-    tm_eval,
     tm_kernel_at_zero,
 )
 
@@ -186,10 +186,13 @@ def _tm_shift(zeros) -> np.ndarray:
     lam = np.asarray(zeros, dtype=complex)
     n = len(lam)
     w = np.sqrt(1.0 - np.abs(lam) ** 2)
-    S = np.diag(lam)
-    for j in range(n - 1):
-        run = np.cumprod(np.concatenate(([1.0], -np.conj(lam[j + 1 : n - 1]))))
-        S[j + 1 :, j] = w[j + 1 :] * w[j] * run
+    # factor (i, j) is -conj(lambda_{i-1}) for i > j + 1 and 1 elsewhere, so
+    # the running products down each column are the products above
+    prev = np.empty(n, dtype=complex)
+    prev[1:] = -np.conj(lam[:-1])
+    factors = np.where(np.tri(n, k=-2, dtype=bool), prev[:, None], 1.0 + 0j)
+    S = np.tril(np.outer(w, w) * np.cumprod(factors, axis=0), -1)
+    S[np.diag_indices(n)] = lam
     return S
 
 
@@ -429,7 +432,7 @@ def adjoint_defect(inner: BlaschkeProduct, symbol_coeffs) -> float:
 
     The rule is `clark_rule(inner, extra=deg(phi))`: the n + deg(phi)
     points where z^deg(phi) * I takes one unimodular value, with e_k from
-    `tm_eval`.  Since phi * e_k and e_j lie in the model space of
+    `_tm_rows`.  Since phi * e_k and e_j lie in the model space of
     z^deg(phi) * I, the sum is the pairing itself, not an approximation of
     it, and its rounding error grows like eps / (1 - max |lambda_k|).  No
     grid and no p enter: as a set the model space does not depend on p.
@@ -437,7 +440,7 @@ def adjoint_defect(inner: BlaschkeProduct, symbol_coeffs) -> float:
     poly = as_poly(symbol_coeffs)
     closed = tm_compression(inner, analytic=poly).entries
     nodes, weights = clark_rule(inner, extra=len(poly) - 1)
-    e = tm_eval(inner, np.eye(inner.degree), nodes)
+    e = _tm_rows(inner, nodes)
     quad = e.conj() @ (weights * np.polynomial.polynomial.polyval(nodes, poly) * e).T
     return float(np.abs(closed - quad).max())
 

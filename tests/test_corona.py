@@ -135,6 +135,108 @@ def test_delta_within_tolerance_of_dense_sample():
         assert corona_delta(a, inner) <= f.min() + corona.DELTA_TOL
 
 
+def _seeded_delta_pairs(rng, count):
+    """(symbol, inner) pairs whose scan often ends at a seed: inner degree
+    1 to 44 with repeated zeros, symbol degree 1 to 4 with roots inside, on
+    and outside the circle, repeated roots, and a root within 1e-6 to 0.5
+    of a zero of I."""
+    pairs = []
+    for k in range(count):
+        degree = int(rng.integers(1, 45))
+        zeros = random_zeros(rng, degree, radius=0.95)
+        if degree > 1 and k % 5 == 1:
+            zeros[-1] = zeros[0]
+        d = int(rng.integers(1, 5))
+        roots = random_zeros(rng, d, radius=1.0)
+        where = rng.integers(0, 3, size=d)  # inside, on or outside the circle
+        roots[where == 1] /= np.abs(roots[where == 1])
+        roots[where == 2] *= rng.uniform(1.0, 2.0, size=(where == 2).sum()) / np.abs(
+            roots[where == 2]
+        )
+        if k % 3 == 0:
+            gap = 10.0 ** rng.uniform(-6.0, np.log10(0.5))
+            roots[0] = zeros[0] + gap * np.exp(2j * np.pi * rng.uniform())
+        if d > 1 and k % 4 == 2:
+            roots[-1] = roots[0]
+        a = random_poly(rng, 0)[0] * P.polyfromroots(roots)
+        pairs.append((a, blaschke_make(zeros, np.exp(2j * np.pi * rng.uniform()))))
+    return pairs
+
+
+def test_delta_skips_only_a_search_that_stays(monkeypatch):
+    # where the certificate skips the refinement, the search from the
+    # scan's best point returns that same float
+    fired = []
+    real = corona._stays
+
+    def recorded(poly, inner, s, best, inner_abs, at_zero):
+        stays = real(poly, inner, s, best, inner_abs, at_zero)
+        if stays:
+            fired.append((poly, inner, s, best, at_zero is None))
+        return stays
+
+    monkeypatch.setattr(corona, "_stays", recorded)
+    rng = np.random.default_rng(79)
+    for a, inner in _seeded_delta_pairs(rng, 2000):
+        count = len(fired)
+        delta = corona_delta(a, inner)
+        if len(fired) > count:
+            poly, inner, s, best, _ = fired[-1]
+            assert delta == best == corona._refine(poly, inner, s, best)
+    at_root = sum(root for *_, root in fired)
+    assert at_root > 500 and len(fired) - at_root > 50
+
+
+def test_delta_certificates_fire_and_refuse():
+    def value(poly, inner, s):
+        # f at s as the search computes it, the centre of its first box
+        zeros = np.array(inner.zeros, dtype=complex)[:, None, None]
+        box = corona._boxes(s, corona._ZOOM_H[:1, None])
+        best = corona._box_values(poly, inner, zeros, box)[0, corona._ZOOM_BOX.size // 2]
+        return float(best), abs(blaschke_eval(inner, s))
+
+    # at the root 0.1 of a, |a| grows with slope 1 and |I| falls more slowly
+    poly = as_poly([-0.1, 1.0])
+    inner = blaschke_make([0.5, -0.5j])
+    best, inner_abs = value(poly, inner, 0.1)
+    assert corona._stays(poly, inner, 0.1, best, inner_abs, None)
+    assert corona_delta(poly, inner) == best == corona._refine(poly, inner, 0.1, best)
+    # at the root 0.45 of a = 0.3 (z - 0.45), |I| falls faster towards the
+    # zero 0.5 than |a| grows: the search moves
+    poly = as_poly([-0.135, 0.3])
+    best, inner_abs = value(poly, inner, 0.45)
+    assert not corona._stays(poly, inner, 0.45, best, inner_abs, None)
+    assert corona._refine(poly, inner, 0.45, best) < best
+
+    # at the zero 0.2 of I, |I| grows faster than |a| = |0.3 - 0.05 z| falls
+    poly = as_poly([0.3, -0.05])
+    inner = blaschke_make([0.2, -0.2])
+    best, _ = value(poly, inner, 0.2)
+    assert corona._stays(poly, inner, 0.2, best, 0.0, 0)
+    assert corona_delta(poly, inner) == best == corona._refine(poly, inner, 0.2, best)
+    # |a| = |z - 0.5| falls with slope 1, |I| grows with slope 0.4: it moves
+    poly = as_poly([-0.5, 1.0])
+    best, _ = value(poly, inner, 0.2)
+    assert not corona._stays(poly, inner, 0.2, best, 0.0, 0)
+    assert corona._refine(poly, inner, 0.2, best) < best
+    # a repeated zero gives |I| no linear growth: refused
+    inner = blaschke_make([0.2, 0.2, -0.2])
+    poly = as_poly([0.3, -0.05])
+    best, _ = value(poly, inner, 0.2)
+    assert not corona._stays(poly, inner, 0.2, best, 0.0, 0)
+
+    # with no zeros and one root the scan rounds |a| at its one seed on a
+    # length-1 array, which numpy may round unlike the boxes; the search's
+    # own value at the root decides
+    poly = as_poly([0.1 + 0.9j, 1.3 + 0.7j])
+    inner = blaschke_make([])
+    s = complex(P.polyroots(poly)[0])
+    best = float(np.abs(corona._horner(poly, np.array([s])))[0] + 1.0)
+    refined = corona._refine(poly, inner, s, best)
+    assert corona_delta(poly, inner) == refined
+    assert refined == best or not corona._stays(poly, inner, s, best, 1.0, None)
+
+
 def test_delta_constant_inner_anchors():
     # |I| is identically 1, so delta is 1 + inf |a|
     assert corona_delta([1.0], blaschke_make([])) == 2.0
@@ -304,6 +406,29 @@ def test_bezout_figures_are_those_of_the_built_pair(zeros, symbol, cancels):
     assert cert.sup_v == np.abs(v).max()
     assert cert.zero_bound == min_abs_at_zeros(symbol, inner)
     assert (len(cert.u.den) < len(as_poly(cert.u_terms[1]))) == cancels
+
+
+@pytest.mark.parametrize(
+    "zeros, symbol",
+    [([0.3, -0.5, 0.2j], [-0.7, 1.0]), ([0.5, -0.3], [1.0, -0.5])],  # the second cancels
+)
+def test_bezout_check_solves_each_root_set_once(monkeypatch, zeros, symbol):
+    # the reduction solves for the roots of Q (once per inner) and of U;
+    # reading u and v, as a report does, solves for no roots again
+    real = P.polyroots
+    calls = []
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return real(coeffs)
+
+    inner = blaschke_make(zeros)
+    delta = corona_delta(symbol, inner)
+    monkeypatch.setattr(P, "polyroots", counted)
+    cert = bezout_solve(symbol, inner, delta=delta)
+    cert.to_json_dict()
+    assert calls == [len(zeros) + 1, len(as_poly(cert.u_terms[0]))]
+    assert np.all(np.abs(P.polyroots(cert.u.den)) > 1.0)
 
 
 def test_inner_sup_data():

@@ -28,6 +28,7 @@ from hardyops import (
     unnormalized_kernel,
 )
 from hardyops import model_space
+from hardyops.model_space import _tm_rows
 from hardyops.corona import _conjugate_kernel_coords
 
 P = np.polynomial.polynomial
@@ -111,6 +112,10 @@ def test_tm_eval_matches_basis_synthesis():
         for col, row in zip(coords.T, values):
             np.testing.assert_allclose(row, basis.synthesize(col).samples, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(tm_eval(inner, coords[:, 0], DEFAULT_GRID.points), values[0])
+        # the basis rows straight from the product loop are tm_eval of the identity
+        np.testing.assert_array_equal(
+            _tm_rows(inner, DEFAULT_GRID.points), tm_eval(inner, np.eye(degree), DEFAULT_GRID.points)
+        )
         with pytest.raises(ValueError, match="dimension"):
             tm_eval(inner, np.ones(degree + 1), DEFAULT_GRID.points)
 

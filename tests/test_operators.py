@@ -52,6 +52,7 @@ from hardyops import operators
 from hardyops.blaschke import sorted_zeros
 from hardyops.cli import ADJOINT_TOL
 from hardyops.model_space import _project_samples
+from hardyops.operators import _tm_shift
 
 P = np.polynomial.polynomial
 
@@ -464,6 +465,32 @@ def test_closed_form_shift_matches_fft_route(seed, degree, radius):
     basis = tm_basis(inner, 2.0)
     closed = compressed_shift(inner, basis).entries
     assert np.abs(closed - _fft_shift(inner, basis)).max() < 1e-12
+
+
+def _shift_by_columns(zeros):
+    """Reference S_I built column by column, each column's running product
+    of -conj(lambda_l) by its own cumprod."""
+    lam = np.asarray(zeros, dtype=complex)
+    n = len(lam)
+    w = np.sqrt(1.0 - np.abs(lam) ** 2)
+    S = np.diag(lam)
+    for j in range(n - 1):
+        run = np.cumprod(np.concatenate(([1.0], -np.conj(lam[j + 1 : n - 1]))))
+        S[j + 1 :, j] = w[j + 1 :] * w[j] * run
+    return S
+
+
+def test_closed_form_shift_matches_column_loop():
+    # one cumprod down the columns does the same arithmetic as the loop
+    rng = np.random.default_rng(65)
+    for k in range(300):
+        degree = int(rng.integers(1, 45))
+        lam = random_zeros(rng, degree, 0.95)
+        if k % 3 == 0:
+            lam[degree // 2 :] = lam[0]  # repeated zeros
+        if k % 4 == 0:
+            lam[: degree // 3] = 0.0  # zeros at the origin
+        np.testing.assert_array_equal(_tm_shift(lam), _shift_by_columns(lam))
 
 
 def test_commutant_and_recovery_degree_20():
