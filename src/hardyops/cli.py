@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, sorted_zeros
+from .blaschke import BlaschkeProduct, blaschke_eval, sorted_zeros
 from .corona import (
     BEZOUT_TOL,
     ZERO_TOL,
@@ -31,14 +31,8 @@ from .corona import (
     near_degenerate_probe,
 )
 from .errors import CommonZeroError, ConfigError, HardyOpsError, IllConditionedError
-from .hardy import (
-    DEFAULT_N,
-    BoundaryFunction,
-    HardyParams,
-    grid_resolving,
-    pairing,
-)
-from .model_space import _project_samples
+from .hardy import DEFAULT_N, HardyParams
+from .model_space import _tm_rows, clark_rule
 from .operators import (
     RECOVERY_TOL,
     _poly_of_matrix,
@@ -46,6 +40,7 @@ from .operators import (
     adjoint_defect,
     symbol_recover,
     tm_compression,
+    tm_project,
 )
 
 SCHEMA_VERSION = 1
@@ -262,34 +257,39 @@ def _check_adjoint(config: RunConfig) -> dict:
     return {"defect": defect, "p": config.params.p, "q": config.params.q}
 
 
-def _random_analytic(rng, grid, degree) -> BoundaryFunction:
-    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    return BoundaryFunction.from_poly(grid, coeffs)
-
-
 def _check_projection(config: RunConfig) -> dict:
-    """P_I by FFT products on the grid that `grid_resolving` finds for I's
-    samples, starting from the radius max |lambda_k|."""
-    grid, ib = grid_resolving(config.inner.boundary, max(abs(z) for z in config.inner.zeros))
+    """P_I f in closed form, f(S_I) k_0 from `tm_project`, checked by exact
+    pairings for seeded random polynomials f and h of degree 12.
+
+    The pairings sum over the n + 13 points of `clark_rule(inner,
+    extra=13)`, which are exact on K_{z^13 I}: that space holds f, I * h
+    and every e_k.  For the coordinates c of P_I f, the idempotence defect
+    is the norm over j of <P_I f, e_j> - c_j, the complement defect that
+    of <f - P_I f, e_j>, and the annihilator defect |<I * h, P_I f>|, each
+    relative to max(1, ||f||).  No grid enters.
+    """
+    inner = config.inner
     rng = np.random.default_rng(config.seed)
-    ib_bar = ib.conj()
-    idem = complement = annihilator = 0.0
-    for _ in range(_PROJECTION_SAMPLES):
-        f = _random_analytic(rng, grid, _PROJECTION_DEGREE)
-        h = _random_analytic(rng, grid, _PROJECTION_DEGREE)
-        pf = _project_samples(ib, f)
-        ppf = _project_samples(ib, pf)
-        scale = max(1.0, f.l2_norm())
-        idem = max(idem, (ppf - pf).l2_norm() / scale)
-        g = f - pf
-        complement = max(complement, (ib_bar * g).negative_mass() / scale)
-        annihilator = max(annihilator, abs(pairing(ib * h, pf)) / scale)
+    # real then imaginary parts of f, then of h, for each sample in turn
+    draws = rng.standard_normal((_PROJECTION_SAMPLES, 2, 2, _PROJECTION_DEGREE + 1))
+    f, h = np.moveaxis(draws[:, :, 0] + 1j * draws[:, :, 1], 1, 0)
+    scale = np.maximum(1.0, np.linalg.norm(f, axis=-1))
+    c = tm_project(inner, f)
+    nodes, weights = clark_rule(inner, extra=_PROJECTION_DEGREE + 1)
+    e = _tm_rows(inner, nodes)
+    pf = c @ e
+    f_vals = np.polynomial.polynomial.polyval(nodes, f.T)
+    ih_vals = blaschke_eval(inner, nodes) * np.polynomial.polynomial.polyval(nodes, h.T)
+    pairings = (weights * np.stack((pf, f_vals - pf))) @ e.conj().T
+    idem = np.linalg.norm(pairings[0] - c, axis=-1) / scale
+    complement = np.linalg.norm(pairings[1], axis=-1) / scale
+    annihilator = np.abs((weights * ih_vals * pf.conj()).sum(axis=-1)) / scale
     return {
         "samples": _PROJECTION_SAMPLES,
         "seed": config.seed,
-        "idempotence_defect": idem,
-        "complement_defect": complement,
-        "annihilator_defect": annihilator,
+        "idempotence_defect": float(idem.max()),
+        "complement_defect": float(complement.max()),
+        "annihilator_defect": float(annihilator.max()),
     }
 
 

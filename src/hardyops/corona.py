@@ -87,18 +87,16 @@ class CoronaCertificate:
     built when first read, u from `u_reduced`, the (numerator,
     denominator, denominator roots) of U/Q in lowest terms as
     `bezout_solve` reduced it, so with no further root solve, and v from
-    `v_terms`.  `u_terms` and `v_terms` hold the (numerator, denominator)
-    coefficients as solved.  `residual` is the largest
-    boundary violation of the identity, `sup_u`/`sup_v` the boundary sup
-    norms of the pair, `zero_bound` the min of |a| over the zeros of I,
-    and `consistent` records agreement between the infimum route and the
-    zeros-of-I route to invertibility.
+    `v_terms`, the (numerator, denominator) coefficients as solved.
+    `residual` is the largest boundary violation of the identity,
+    `sup_u`/`sup_v` the boundary sup norms of the pair, `zero_bound` the
+    min of |a| over the zeros of I, and `consistent` records agreement
+    between the infimum route and the zeros-of-I route to invertibility.
     """
 
     symbol: tuple
     inner: BlaschkeProduct
     delta: float
-    u_terms: tuple
     v_terms: tuple
     u_reduced: tuple
     residual: float
@@ -416,7 +414,6 @@ def bezout_solve(
         symbol=tuple(complex(c) for c in poly),
         inner=inner,
         delta=delta,
-        u_terms=u_terms,
         v_terms=(w, [1.0]),
         u_reduced=(num, den, roots),
         residual=residual,

@@ -113,27 +113,11 @@ def grid_for_radius(radius: float) -> CircleGrid:
     m, n = _grid_band(radius)
     if n == DEFAULT_N:
         return DEFAULT_GRID
-    return _capped_grid(radius, m, n)
-
-
-def _capped_grid(radius: float, m: int, n: int) -> CircleGrid:
     if m > GRID_MAX_M:
         raise UnitDiscError(
             f"radius {radius} is too close to the circle for stable computation (m={m})"
         )
     return CircleGrid(m=m, n=n)
-
-
-def grid_resolving(sample, radius: float) -> tuple[CircleGrid, "BoundaryFunction"]:
-    """`grid_for_radius(radius)`, doubled until `sample(grid)` leaves a
-    tail_mass of at most GRID_TAIL (a k-fold zero's coefficients decay like
-    N**(k-1) * r**N), and those samples; capped like `grid_for_radius`."""
-    grid = grid_for_radius(radius)
-    f = sample(grid)
-    while f.tail_mass > GRID_TAIL:
-        grid = _capped_grid(radius, 2 * grid.m, 2 * grid.n)
-        f = sample(grid)
-    return grid, f
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,8 @@ lower-triangular form in the ordered zeros (Garcia-Mashreghi-Ross), so
 `compressed_shift` builds it exactly, with no grid.  In Sarason's
 truncated-Toeplitz picture the compression of a trigonometric polynomial
 phi_plus + conj(phi_minus) is phi_plus(S_I) + phi_minus(S_I)^*, which
-`tm_compression` evaluates by Horner's rule on that closed form.  By
+`tm_compression` evaluates by Horner's rule on that closed form;
+`tm_project` gives the coordinates f(S_I) k_0 of P_I f the same way.  By
 Sarason's theorem the commutant of S_I is the set of compressed analytic
 Toeplitz operators phi(S_I), and the kernel k_0 = P_I 1 is cyclic for
 S_I, so `symbol_recover` reads phi off T k_0 with one triangular solve in
@@ -236,6 +237,27 @@ def tm_compression(inner: BlaschkeProduct, analytic=(), coanalytic=()) -> Operat
     S = _tm_shift(sorted_zeros(inner))
     entries = _poly_of_matrix(analytic, S) + _poly_of_matrix(coanalytic, S).conj().T
     return OperatorMatrix(entries, _tm_label(inner), _tm_label(inner))
+
+
+def tm_project(inner: BlaschkeProduct, coeffs) -> np.ndarray:
+    """Takenaka-Malmquist coordinates of P_I f = f(S_I) k_0 for the
+    polynomial f with ascending coefficients along the last axis of
+    `coeffs`; leading axes project a stack of polynomials, and the n
+    coordinates take the place of that last axis.
+
+    Horner's rule on vectors costs one product S_I v per coefficient and
+    never forms f(S_I); `project` and `expand` on a `tm_basis` are its FFT
+    cross-check.
+    """
+    if inner.degree < 1:
+        raise ValueError("inner function must have degree >= 1")
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    S_t = _tm_shift(sorted_zeros(inner)).T
+    k0 = tm_kernel_at_zero(inner)
+    out = np.zeros(coeffs.shape[:-1] + k0.shape, dtype=complex)
+    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+        out = out @ S_t + c[..., None] * k0
+    return out
 
 
 def hankel_matrix(

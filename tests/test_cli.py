@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_zeros
 
 import hardyops
 from hardyops import ConfigError, IllConditionedError
@@ -23,6 +24,7 @@ from hardyops.cli import (
     run_report,
     run_sweep,
 )
+from hardyops.model_space import _project_samples
 
 
 def base_config():
@@ -247,39 +249,106 @@ def test_grid_key_is_unknown(tmp_path, capsys):
     assert "unknown config keys: grid" in capsys.readouterr().err
 
 
+PROJECTION_KEYS = ("idempotence_defect", "complement_defect", "annihilator_defect")
+
+
 def test_projection_defect_above_tolerance_exits_3(tmp_path, monkeypatch):
     doc = base_config()
     doc["inner"] = {"zeros": [0.999, -0.5]}
     doc["checks"] = ["projection"]
     cfg = write_json(tmp_path, "cfg.json", doc)
     out = tmp_path / "r.json"
-    keys = ("idempotence_defect", "complement_defect", "annihilator_defect")
-    # the grid of the zero nearest the circle resolves this inner
     assert main(["report", "--config", cfg, "--out", str(out)]) == 0
     entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["projection"]
-    assert all(entry[key] <= TOLERANCES["projection_defect"] for key in keys)
-    # a projection that is off by one percent is not idempotent
-    project = cli._project_samples
-    monkeypatch.setattr(cli, "_project_samples", lambda ib, f: 1.01 * project(ib, f))
+    assert all(entry[key] <= TOLERANCES["projection_defect"] for key in PROJECTION_KEYS)
+    # a closed form that is off by one percent disagrees with the pairings;
+    # its image still lies in K_I, so only the complement defect sees it
+    closed = cli.tm_project
+    monkeypatch.setattr(cli, "tm_project", lambda inner, f: 1.01 * closed(inner, f))
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 3
+    entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["projection"]
+    assert entry["complement_defect"] > TOLERANCES["projection_defect"]
+    assert entry["idempotence_defect"] <= TOLERANCES["projection_defect"]
+    # a pairing projection sum_j <g, e_j> e_j off by one percent in each e_j
+    # is not idempotent
+    monkeypatch.setattr(cli, "tm_project", closed)
+    rows = cli._tm_rows
+    monkeypatch.setattr(cli, "_tm_rows", lambda inner, points: 1.01 * rows(inner, points))
     assert main(["report", "--config", cfg, "--out", str(out)]) == 3
     entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["projection"]
     assert entry["idempotence_defect"] > TOLERANCES["projection_defect"]
 
 
-def test_projection_grid_doubles_for_repeated_zero(tmp_path, monkeypatch):
-    # a double zero at 0.98 leaves a tail of 7.6e-10 on the radius's 4096
-    # nodes, so the check doubles once; a cap below 8192 nodes stops it
+def test_projection_needs_no_grid_for_repeated_zero(tmp_path, monkeypatch):
+    # a double zero at 0.98 needed 8192 FFT nodes; the check now builds no
+    # grid and samples nothing, so a 4096-node cap cannot stop it
     doc = base_config()
     doc["inner"] = {"zeros": [0.98, 0.98]}
     doc["checks"] = ["projection"]
     cfg = write_json(tmp_path, "cfg.json", doc)
     out = tmp_path / "r.json"
-    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
     monkeypatch.setattr(hardy, "GRID_MAX_M", 4096)
-    assert main(["report", "--config", cfg, "--out", str(out)]) == 3
+
+    def refuse(*args):
+        raise AssertionError("the projection check sampled a grid function")
+
+    monkeypatch.setattr(hardy.BoundaryFunction, "from_samples", classmethod(refuse))
+    monkeypatch.setattr(hardyops.BlaschkeProduct, "boundary", refuse)
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
     entry = json.loads(out.read_text(encoding="utf-8"))["checks"]["projection"]
-    assert entry["error"] == "UnitDiscError"
-    assert "radius 0.98 " in entry["message"] and "m=8192" in entry["message"]
+    assert all(entry[key] <= TOLERANCES["projection_defect"] for key in PROJECTION_KEYS)
+
+
+def _fft_projection_defects(inner, seed):
+    """The three projection defects by FFT products, for the report's seeded
+    f and h: P_I f = I * P_minus(conj(I) f) on the grid of max |lambda_k|,
+    doubled until I's samples leave a tail of at most GRID_TAIL (a k-fold
+    zero's coefficients decay like N**(k-1) * r**N)."""
+    grid = hardy.grid_for_radius(max(abs(z) for z in inner.zeros))
+    ib = inner.boundary(grid)
+    while ib.tail_mass > hardy.GRID_TAIL:
+        grid = hardy.CircleGrid(m=2 * grid.m, n=2 * grid.n)
+        ib = inner.boundary(grid)
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        coeffs = rng.standard_normal(cli._PROJECTION_DEGREE + 1)
+        return hardy.BoundaryFunction.from_poly(grid, coeffs + 1j * rng.standard_normal(len(coeffs)))
+
+    defects = np.zeros(3)
+    for _ in range(cli._PROJECTION_SAMPLES):
+        f, h = draw(), draw()
+        pf = _project_samples(ib, f)
+        scale = max(1.0, f.l2_norm())
+        defects = np.maximum(
+            defects,
+            [
+                (_project_samples(ib, pf) - pf).l2_norm() / scale,
+                (ib.conj() * (f - pf)).negative_mass() / scale,
+                abs(hardy.pairing(ib * h, pf)) / scale,
+            ],
+        )
+    return defects
+
+
+def _projection_cross_check_cases():
+    rng = np.random.default_rng(74)
+    seeded = [list(random_zeros(rng, 10, 0.9)) for _ in range(4)]
+    return [[0.999, -0.5], [0.98, 0.98]] + seeded
+
+
+@pytest.mark.parametrize("zeros", _projection_cross_check_cases())
+def test_projection_fft_route_within_tolerance(zeros):
+    # the FFT route the report check replaced, held to the same tolerance
+    # on the inputs where its grid resolves I, next to the report itself
+    inner = hardyops.blaschke_make(zeros)
+    assert np.all(_fft_projection_defects(inner, 7) <= cli.PROJECTION_TOL)
+    doc = base_config()
+    doc["inner"] = {"zeros": [[z.real, z.imag] for z in map(complex, zeros)]}
+    doc["checks"] = ["projection"]
+    report, failure = run_report(parse_config(doc))
+    assert not failure
+    assert all(report["checks"]["projection"][key] <= cli.PROJECTION_TOL for key in PROJECTION_KEYS)
 
 
 def test_adjoint_defect_above_tolerance_exits_3(tmp_path, monkeypatch):

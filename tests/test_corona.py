@@ -405,7 +405,9 @@ def test_bezout_figures_are_those_of_the_built_pair(zeros, symbol, cancels):
     assert cert.sup_u == np.abs(u).max()
     assert cert.sup_v == np.abs(v).max()
     assert cert.zero_bound == min_abs_at_zeros(symbol, inner)
-    assert (len(cert.u.den) < len(as_poly(cert.u_terms[1]))) == cancels
+    # Q has degree n for nonzero zeros, so a shorter reduced denominator
+    # means that a root cancelled
+    assert (len(cert.u_reduced[1]) < inner.degree + 1) == cancels
 
 
 @pytest.mark.parametrize(
@@ -427,7 +429,9 @@ def test_bezout_check_solves_each_root_set_once(monkeypatch, zeros, symbol):
     monkeypatch.setattr(P, "polyroots", counted)
     cert = bezout_solve(symbol, inner, delta=delta)
     cert.to_json_dict()
-    assert calls == [len(zeros) + 1, len(as_poly(cert.u_terms[0]))]
+    # U had as many coefficients as it kept, plus one per root that cancelled
+    num, den, _ = cert.u_reduced
+    assert calls == [len(zeros) + 1, len(num) + inner.degree + 1 - len(den)]
     assert np.all(np.abs(P.polyroots(cert.u.den)) > 1.0)
 
 

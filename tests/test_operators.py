@@ -24,6 +24,7 @@ from hardyops import (
     annihilator_defect,
     blaschke_make,
     cauchy_basis,
+    clark_rule,
     coanalytic_kernel_check,
     commutation_residual,
     compressed_matrix,
@@ -45,13 +46,14 @@ from hardyops import (
     tm_basis,
     tm_compression,
     tm_kernel_at_zero,
+    tm_project,
     toeplitz_apply,
     unnormalized_kernel,
 )
 from hardyops import operators
 from hardyops.blaschke import sorted_zeros
 from hardyops.cli import ADJOINT_TOL
-from hardyops.model_space import _project_samples
+from hardyops.model_space import _project_samples, _tm_rows
 from hardyops.operators import _tm_shift
 
 P = np.polynomial.polynomial
@@ -274,6 +276,46 @@ def test_tm_compression_matches_fft_route(seed, degree, repeated):
 def test_tm_compression_rejects_trivial_inner():
     with pytest.raises(ValueError):
         tm_compression(blaschke_make([]), [1.0])
+
+
+def test_tm_project_anchors():
+    # K_{z^2} is spanned by e_0 = 1 and e_1 = z, so P_I keeps two coefficients
+    z2 = blaschke_make([0.0, 0.0])
+    np.testing.assert_array_equal(tm_project(z2, [1.0, 2.0j, 3.0]), [1.0, 2.0j])
+    inner = blaschke_make([0.3, -0.5, 0.2 + 0.4j])
+    np.testing.assert_array_equal(tm_project(inner, [1.0]), tm_kernel_at_zero(inner))
+    rng = np.random.default_rng(71)
+    stack = random_poly(rng, 5) * np.ones((2, 3, 1))
+    assert tm_project(inner, stack).shape == (2, 3, 3)
+    np.testing.assert_allclose(tm_project(inner, stack)[1, 2], tm_project(inner, stack[0, 0]))
+    with pytest.raises(ValueError):
+        tm_project(blaschke_make([]), [1.0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tm_project_matches_fft_route(seed):
+    # f(S_I) k_0 against P_I f by FFT products, expanded in the sampled basis
+    rng = np.random.default_rng([72, seed])
+    inner = random_blaschke(rng, max_degree=20, radius=0.9)
+    basis = tm_basis(inner, 2.0)
+    for degree in (0, 3, 12, 30):
+        coeffs = random_poly(rng, degree)
+        fft, _ = expand(basis, project(inner, BoundaryFunction.from_poly(DEFAULT_GRID, coeffs)))
+        scale = max(1.0, np.linalg.norm(coeffs))
+        assert np.abs(tm_project(inner, coeffs) - fft).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tm_project_matches_clark_pairings(seed):
+    # <f, e_j> summed over the n + d + 1 Clark points of z^(d+1) * I, exact
+    # for f of degree d and every e_j
+    rng = np.random.default_rng([73, seed])
+    inner = blaschke_make(random_zeros(rng, 40, 0.9))
+    coeffs = random_poly(rng, 12)
+    nodes, weights = clark_rule(inner, extra=len(coeffs))
+    pairings = _tm_rows(inner, nodes).conj() @ (weights * P.polyval(nodes, coeffs))
+    scale = max(1.0, np.linalg.norm(coeffs))
+    assert np.abs(tm_project(inner, coeffs) - pairings).max() < 1e-12 * scale
 
 
 def _shift(inner):

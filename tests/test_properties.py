@@ -1,7 +1,6 @@
 """Property tests: the adjoint defect and the projection check hold their
 tolerances on inners of degree 1-8, repeated zeros included, with radii up
-to 1 - 1e-5 and 0.999; a zero too close to the circle for the projection's
-grid is a typed failure."""
+to 1 - 1e-5; a zero at 1 - 1e-6 passes both in small memory."""
 
 import json
 import tracemalloc
@@ -27,8 +26,6 @@ def zeros_within(lowest: float):
     ).map(lambda drawn: [(1.0 - 10.0**u) * np.exp(1j * t) for u, t, k in drawn for _ in range(k)][:8])
 
 
-ZEROS = zeros_within(-3.0)
-
 COEFF = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 PROJECTION_KEYS = ("idempotence_defect", "complement_defect", "annihilator_defect")
@@ -41,7 +38,7 @@ def test_adjoint_defect_within_tolerance(zeros, symbol):
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(zeros=ZEROS, seed=st.integers(0, 2**31))
+@given(zeros=zeros_within(-5.0), seed=st.integers(0, 2**31))
 def test_projection_report_within_tolerance(zeros, seed):
     doc = {
         "inner": {"zeros": [[z.real, z.imag] for z in zeros]},
@@ -55,10 +52,9 @@ def test_projection_report_within_tolerance(zeros, seed):
     assert all(entry[key] <= PROJECTION_TOL for key in PROJECTION_KEYS)
 
 
-def test_zero_too_close_to_circle_exits_3(tmp_path):
-    # the adjoint check runs on the n + 1 Clark points and passes;
-    # grid_for_radius(1 - 1e-6) would need m = 2^26 nodes for the
-    # projection, and it refuses before any node is allocated
+def test_zero_near_circle_passes_in_small_memory(tmp_path):
+    # both checks run on Clark points, n + 1 for the adjoint and n + 13 for
+    # the projection; a grid for radius 1 - 1e-6 would need m = 2^26 nodes
     doc = {"inner": {"zeros": [1.0 - 1e-6, 0.2]}, "symbol": [0.3, 1.0], "checks": ["adjoint", "projection"]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
@@ -69,10 +65,8 @@ def test_zero_too_close_to_circle_exits_3(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3
+    assert code == 0
     assert peak < 1 << 20
     checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
     assert checks["adjoint"]["defect"] <= ADJOINT_TOL
-    entry = checks["projection"]
-    assert entry["error"] == "UnitDiscError"
-    assert "too close to the circle" in entry["message"] and f"m={2**26}" in entry["message"]
+    assert all(checks["projection"][key] <= PROJECTION_TOL for key in PROJECTION_KEYS)
