@@ -224,17 +224,19 @@ class RationalFunction:
         }
 
 
-def _lowest_terms(num: np.ndarray, den: np.ndarray, den_roots: np.ndarray):
+def _lowest_terms(num: np.ndarray, den: np.ndarray, den_roots: np.ndarray, num_roots=None):
     """(num, den, roots) as the RationalFunction of num/den carries them.
 
     `num` and `den` are trimmed (`as_poly`) and `den_roots` is
     `P.polyroots(den)`.  Pairs of roots within CIRCLE_ROOT_TOL cancel by
     synthetic division, matched greedily in the order of `den_roots`; the
-    one root solve on `num` is the only one made.  Both polynomials are
-    then divided by the leading coefficient of the denominator left, and
-    `roots` holds the entries of `den_roots` that did not cancel."""
+    root solve on `num`, unless the caller passes its result as
+    `num_roots`, is the only one made.  Both polynomials are then divided
+    by the leading coefficient of the denominator left, and `roots` holds
+    the entries of `den_roots` that did not cancel."""
     if len(num) > 1 and len(den) > 1 and not np.all(num == 0):
-        num_roots, kept = list(P.polyroots(num)), []
+        num_roots = list(P.polyroots(num) if num_roots is None else num_roots)
+        kept = []
         for r_d in den_roots:
             if num_roots:
                 dists = [abs(r_d - r_n) for r_n in num_roots]

@@ -383,19 +383,20 @@ def run_sweep(config: RunConfig, family) -> str:
         S = _tm_shift(sorted_zeros(inner))
         adjoints = _poly_of_matrix(symbols, S).conj().swapaxes(-1, -2)
         sigmas = np.linalg.svd(adjoints, compute_uv=False)[:, -1]
+        # every row's delta and Bezout pair from one stacked call each
+        certs = bezout_solve(symbols, inner)
+        bounds = min_abs_at_zeros(symbols, inner)
         rows = []
-        for t, symbol, sigma in zip(offsets, symbols, sigmas):
+        for t, cert, bound, sigma in zip(offsets, certs, bounds, sigmas):
             w = base + t
-            try:
-                cert = bezout_solve(symbol, inner)
-                delta, bound, sup_u, sup_v = cert.delta, cert.zero_bound, cert.sup_u, cert.sup_v
-            except CommonZeroError:
-                delta, sup_u, sup_v = 0.0, float("nan"), float("nan")
-                bound = min_abs_at_zeros(symbol, inner)
-            except IllConditionedError as exc:
+            if isinstance(cert, IllConditionedError):
                 raise IllConditionedError(
-                    f"symbol_zero row at offset {t:.12g}, zero {w:.12g}: {exc}"
-                ) from exc
+                    f"symbol_zero row at offset {t:.12g}, zero {w:.12g}: {cert}"
+                ) from cert
+            if isinstance(cert, CommonZeroError):
+                delta, sup_u, sup_v = 0.0, float("nan"), float("nan")
+            else:
+                delta, sup_u, sup_v = cert.delta, cert.sup_u, cert.sup_v
             rows.append(
                 (
                     t.real,
@@ -449,8 +450,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
 def main(argv=None) -> int:

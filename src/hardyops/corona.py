@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .blaschke import (
+    CIRCLE_ROOT_TOL,
     SUP_POINTS,
     BlaschkeProduct,
     RationalFunction,
@@ -26,7 +26,13 @@ from .blaschke import (
     blaschke_eval,
     sorted_zeros,
 )
-from .errors import CommonZeroError, IllConditionedError, NotInModelSpaceError, UnitDiscError
+from .errors import (
+    CommonZeroError,
+    HardyOpsError,
+    IllConditionedError,
+    NotInModelSpaceError,
+    UnitDiscError,
+)
 from .hardy import (
     GRID_MAX_M,
     BoundaryFunction,
@@ -35,7 +41,7 @@ from .hardy import (
     grid_for_radius,
     hp_norm,
 )
-from .model_space import _project_samples, _tm_rows, clark_rule
+from .model_space import _clark_windows, _project_samples, _tm_rows
 from .operators import tm_compression, toeplitz_apply
 
 #: Values of min_k |a(z_k)| at or below this are treated as a common zero.
@@ -135,26 +141,73 @@ def _symbol_poly(symbol_coeffs) -> np.ndarray:
     return poly
 
 
-def _horner(poly: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _symbol_rows(symbol_coeffs) -> tuple[np.ndarray, bool]:
+    """(rows, stacked): one symbol as a one-row stack, or a 2-D stack of
+    symbols of one degree; non-finite coefficients are refused."""
+    arr = np.asarray(symbol_coeffs, dtype=complex)
+    if arr.ndim < 2:
+        return _symbol_poly(arr)[None, :], False
+    if arr.ndim > 2 or not arr.size or not np.all(arr[:, -1]):
+        raise ValueError(
+            f"a stack of symbols must be 2-D, with nonzero leading coefficients: {arr}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"symbol coefficients must be finite, got {arr}")
+    return arr, True
+
+
+def _horner(poly: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a(z) elementwise by Horner's rule, in place: the operations of
     P.polyval without its per-call overhead and temporaries.  Every
-    polynomial evaluation in this module goes through it."""
-    out = np.full(np.shape(z), poly[-1])
+    polynomial evaluation in this module goes through it.
+
+    A 2-D `poly` is a stack of rows, row r evaluated at z[r] (z's leading
+    axis may have length 1).  Rows of one point go one by one: numpy
+    rounds an in-place product on one value without the fused
+    multiply-add of its array loops."""
+    if poly.ndim > 1 and len(poly) > 1 and np.size(z) == np.shape(z)[0]:
+        z = np.broadcast_to(z, (len(poly),) + np.shape(z)[1:])
+        return np.concatenate([_horner(p[None], x[None]) for p, x in zip(poly, z)])
+    shape = np.shape(z)
+    if poly.ndim > 1:
+        shape = (len(poly),) + shape[1:]
+        poly = poly.T.reshape(poly.shape[::-1] + (1,) * (len(shape) - 1))
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    out[...] = poly[-1]
     for c in poly[-2::-1]:
         out *= z
         out += c
     return out
 
 
-def min_abs_at_zeros(symbol_coeffs, inner: BlaschkeProduct) -> float:
-    """min over zeros z_k of I of |a(z_k)|; infinite when I is constant."""
-    poly = _symbol_poly(symbol_coeffs)
+def _poly_roots(polys: np.ndarray) -> np.ndarray:
+    """The roots of each row of `polys`, as `P.polyroots` computes them,
+    from one stacked `eigvals` of their companion matrices."""
+    d = polys.shape[1] - 1
+    if d < 2:
+        return -polys[:, :d] / polys[:, d:]
+    companion = np.zeros((len(polys), d, d), dtype=complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, -1] -= polys[:, :-1] / polys[:, -1:]
+    return np.sort(np.linalg.eigvals(companion), axis=-1)
+
+
+def _min_abs_at_zeros(polys: np.ndarray, inner: BlaschkeProduct) -> np.ndarray:
     if inner.degree == 0:
-        return float("inf")
-    return float(np.abs(_horner(poly, np.array(inner.zeros))).min())
+        return np.full(len(polys), np.inf)
+    return np.abs(_horner(polys, np.array(inner.zeros)[None, :])).min(axis=1)
 
 
-def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
+def min_abs_at_zeros(symbol_coeffs, inner: BlaschkeProduct):
+    """min over zeros z_k of I of |a(z_k)|; infinite when I is constant.
+    A stack of symbols (rows of a 2-D array) gets an array of values."""
+    polys, stacked = _symbol_rows(symbol_coeffs)
+    values = _min_abs_at_zeros(polys, inner)
+    return values if stacked else float(values[0])
+
+
+def corona_delta(symbol_coeffs, inner: BlaschkeProduct):
     """inf over the closed disc of f = |a| + |I|, estimated from above.
 
     Returns exactly 0.0 when the symbol nearly vanishes at a zero of the
@@ -172,103 +225,176 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct) -> float:
     Either way the result is the float the box-by-box search returns: a
     value of f, so an upper estimate of the infimum; the tests hold it
     within DELTA_TOL of the minimum of f over a dense seeded sample.
+
+    A stack of symbols of one degree (the rows of a 2-D array) gets an
+    array, each entry the float of its one-row call; its rows share the
+    seeds, I on the kept points, `_stays` and `_refine`, in row blocks.
     """
-    poly = _symbol_poly(symbol_coeffs)
-    if len(poly) == 1 and poly[0] == 0.0:
+    polys, stacked = _symbol_rows(symbol_coeffs)
+    if polys.shape[1] == 1 and not np.all(polys):
         raise ValueError("symbol polynomial is identically zero")
-    roots = P.polyroots(poly) if len(poly) > 1 else []
-    seeds = np.array(
-        list(inner.zeros) + [r if abs(r) <= 1.0 else r / abs(r) for r in roots],
-        dtype=complex,
+    n = inner.degree
+    roots = _poly_roots(polys)
+    # |r| and r / |r| as numpy scalars compute them: hypot, not np.abs
+    size = np.hypot(roots.real, roots.imag)
+    out = size > 1.0
+    roots[out] = roots[out] / size[out]
+    zeros = np.broadcast_to(np.array(inner.zeros, dtype=complex), (len(polys), n))
+    seeds = np.concatenate([zeros, roots], axis=1)
+    seed_abs_a = np.abs(_horner(polys, seeds))
+    bound = seed_abs_a[:, :n].min(axis=1, initial=np.inf)  # min_k |a(z_k)|
+    deltas = np.zeros(len(polys))
+    live = np.flatnonzero(~(bound <= ZERO_TOL))
+    center, best, inner_abs, at_seed = _scan(
+        polys[live], inner, seeds[live], seed_abs_a[live], bound[live]
     )
-    seed_abs_a = np.abs(_horner(poly, seeds))
-    bound = seed_abs_a[: inner.degree].min(initial=np.inf)  # min_k |a(z_k)|
-    if bound <= ZERO_TOL:
-        return 0.0
-
-    scan = (_SCAN_RADII * _SCAN_CIRCLE).ravel()
-    scan_abs_a = np.abs(_horner(poly, scan))
-    keep = scan_abs_a <= bound
-    seed_keep = np.flatnonzero(seed_abs_a <= bound)
-    z = np.concatenate([scan[keep], seeds[seed_keep]])
-    vals = np.concatenate([scan_abs_a[keep], seed_abs_a[seed_keep]])
-    abs_i = np.abs(blaschke_eval(inner, z))
-    vals += abs_i
-    best_idx = int(np.argmin(vals))
-    center = complex(z[best_idx])
-    best = float(vals[best_idx])
-    seed = best_idx - (z.size - seed_keep.size)
-    if seed >= 0:
-        own = int(seed_keep[seed])
-        at_zero = own if own < inner.degree else None
-        if _stays(poly, inner, center, best, float(abs_i[best_idx]), at_zero):
-            return best
-    return _refine(poly, inner, center, best)
+    tried = np.flatnonzero(at_seed >= 0)
+    stays = np.zeros(len(live), dtype=bool)
+    if tried.size:
+        stays[tried] = _stays(
+            polys[live[tried]], inner, center[tried], best[tried], inner_abs[tried], at_seed[tried]
+        )
+    deltas[live[stays]] = best[stays]
+    moves = np.flatnonzero(~stays)
+    if moves.size:
+        deltas[live[moves]] = _refine(polys[live[moves]], inner, center[moves], best[moves])
+    return deltas if stacked else float(deltas[0])
 
 
-def _refine(poly: np.ndarray, inner: BlaschkeProduct, center: complex, best: float) -> float:
-    """The 48-box search of `corona_delta` from the point `center`, whose
-    value of f is `best`: each box of 9x9 points is centred at the best
-    point so far, and the first point below `best` moves it.
+def _scan(polys, inner, seeds, seed_abs_a, bound):
+    """Each row's best point among the scan and seeds with |a| <= bound:
+    (centre, f and |I| there, and its seed index: n for a root of a, -1
+    for a scan point).  Rows are scanned one by one, on the cells of 8
+    points of a ring whose middle |a|, less max|a'| times the cell's
+    reach, is within bound; I is evaluated on the kept points of blocks
+    of rows of at most _ZOOM_BATCH points."""
+    radii, circle = _SCAN_RADII.ravel(), _SCAN_CIRCLE
+    width = 8
+    ring_of = np.repeat(radii, circle.size // width)
+    middle = ring_of * np.tile(circle[width // 2 :: width], radii.size)
+    reach = ring_of * (2.0 * np.sin(np.pi * (width // 2) / circle.size)) * (1.0 + 1e-9) + 1e-12
+    n = inner.degree
+    center = np.zeros(len(polys), dtype=complex)
+    best, inner_abs = np.zeros(len(polys)), np.zeros(len(polys))
+    at_seed = np.full(len(polys), -1)
 
-    Boxes are evaluated in batches as if the centre stayed put.  The
-    first box that improves on `best` moves it, and the boxes after that
-    one are evaluated again around the new centre: the box-by-box search
-    exactly.  A search that moves does so on most of its first 30-odd
-    boxes and then stops, so a batch after a move holds one box and the
-    size doubles while no box moves.  A search that never moves takes
-    batches as large as _ZOOM_BATCH allows: six at degree 6.
+    def settle(block):
+        abs_i = np.abs(blaschke_eval(inner, np.concatenate([z for _, z, _, _ in block])))
+        start = 0
+        for r, z, vals, seed_keep in block:
+            here = abs_i[start : start + z.size]
+            vals += here
+            i = int(np.argmin(vals))
+            center[r], best[r], inner_abs[r] = z[i], vals[i], here[i]
+            seed = i - (z.size - seed_keep.size)
+            if seed >= 0:
+                at_seed[r] = min(seed_keep[seed], n)
+            start += z.size
+
+    block, held = [], 0
+    for r, poly in enumerate(polys):
+        size = np.abs(poly)
+        slope = size[1:] @ np.arange(1, len(poly))  # bounds |a'| on the disc
+        # rounding allowance for |a| at the middle and at the cell's points
+        slack = 1e-9 * size.sum()
+        near = np.abs(_horner(poly, middle)) - slope * reach - slack <= bound[r]
+        points = (np.flatnonzero(near)[:, None] * width + np.arange(width)).ravel()
+        scan = radii[points // circle.size] * circle[points % circle.size]
+        abs_a = np.abs(_horner(poly, scan))
+        keep = abs_a <= bound[r]
+        seed_keep = np.flatnonzero(seed_abs_a[r] <= bound[r])
+        z = np.concatenate([scan[keep], seeds[r, seed_keep]])
+        vals = np.concatenate([abs_a[keep], seed_abs_a[r, seed_keep]])
+        del abs_a, keep
+        if block and held + z.size > _ZOOM_BATCH:
+            settle(block)
+            block, held = [], 0
+        block.append((r, z, vals, seed_keep))
+        held += z.size
+    if block:
+        settle(block)
+    return center, best, inner_abs, at_seed
+
+
+def _refine(polys, inner: BlaschkeProduct, center, best) -> np.ndarray:
+    """The 48-box search of `corona_delta` from each row's centre, whose
+    value of f is best[r]: each box of 9x9 points is centred at the row's
+    best point so far, and the first point below its best moves it.
+
+    A row's boxes are evaluated in batches as if the centre stayed put;
+    the first improving box moves it, and its later boxes are evaluated
+    again: the box-by-box search exactly.  A batch after a move holds one
+    box and doubles while no box moves.  The rows still searching advance
+    in lockstep, a block of them per broadcast of at most _ZOOM_BATCH
+    factor evaluations.
     """
     zeros = np.array(inner.zeros, dtype=complex)[:, None, None]
     most = max(1, _ZOOM_BATCH // (_ZOOM_BOX.size * max(inner.degree, 1)))
-    step, boxes = 0, most
-    while step < _ZOOM_H.size:
-        local = _boxes(center, _ZOOM_H[step : step + boxes, None])
-        lv = _box_values(poly, inner, zeros, local)
-        moved = np.flatnonzero(lv.min(axis=1) < best)
-        if moved.size == 0:
-            step += len(lv)
-            boxes = min(2 * boxes, most)
-            continue
-        j = moved[0]
-        i = lv[j].argmin()
-        best = float(lv[j, i])
-        center = complex(local[j, i])
-        step += j + 1
-        boxes = 1
+    center = np.array(center, dtype=complex)
+    best = np.array(best, dtype=float)
+    step, want = [0] * len(best), [most] * len(best)
+    searching = list(range(len(best)))
+    while searching:
+        rows = searching[:most]
+        share = most // len(rows)
+        owner, steps = [], []
+        for r in rows:
+            k = min(want[r], share, _ZOOM_H.size - step[r])
+            owner += [r] * k
+            steps += range(step[r], step[r] + k)
+        if len(rows) > 1:
+            local = _boxes(center[owner, None], _ZOOM_H[steps, None])
+            lv = _box_values(polys[owner], inner, zeros, local)
+            improved = (lv.min(axis=1) < best[owner]).tolist()
+        else:  # one row: its polynomial and centre as they are, the same floats
+            r = rows[0]
+            local = _boxes(center[r], _ZOOM_H[step[r] : step[r] + len(steps), None])
+            lv = _box_values(polys[r], inner, zeros, local)
+            improved = (lv.min(axis=1) < best[r]).tolist()
+        moved = set()
+        for j, r in enumerate(owner):
+            if r in moved:
+                continue
+            if improved[j]:
+                i = lv[j].argmin()
+                best[r], center[r] = lv[j, i], local[j, i]
+                step[r], want[r] = steps[j] + 1, 1
+                moved.add(r)
+            elif j + 1 == len(owner) or owner[j + 1] != r:  # no box of the row moved
+                step[r] = steps[j] + 1
+                want[r] = min(2 * want[r], most)
+        searching = [r for r in searching[len(rows) :] + rows if step[r] < _ZOOM_H.size]
     return best
 
 
-def _boxes(center: complex, h: np.ndarray) -> np.ndarray:
+def _boxes(center: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The 9x9 boxes of half-widths `h` (a column) around `center`, with
     their points outside the closed disc projected onto the circle."""
     local = center + h * _ZOOM_BOX
-    if abs(center) + 1.5 * h[0, 0] >= 1.0:  # the boxes may leave the disc
+    if np.ndim(center):
+        leaves = np.abs(center).max() + 1.5 * h.max() >= 1.0
+    else:  # one centre, with h a slice of the descending _ZOOM_H
+        leaves = abs(center) + 1.5 * h[0, 0] >= 1.0
+    if leaves:  # some boxes may leave the disc
         r = np.abs(local)
         local = np.where(r > 1.0, local / np.maximum(r, 1e-300), local)
     return local
 
 
 def _box_values(
-    poly: np.ndarray, inner: BlaschkeProduct, zeros: np.ndarray, local: np.ndarray
+    polys: np.ndarray, inner: BlaschkeProduct, zeros: np.ndarray, local: np.ndarray
 ) -> np.ndarray:
-    """|a| + |I| at the boxes `local`, I by one broadcast over its
-    `zeros`, shaped (n, 1, 1)."""
+    """|a| + |I| at the boxes `local` (a stack of rows of `polys` gives a
+    on local[r]), I by one broadcast over its `zeros`, shaped (n, 1, 1)."""
     factors = (local - zeros) / (1.0 - zeros.conj() * local)
-    lv = np.abs(_horner(poly, local))
+    lv = np.abs(_horner(polys, local))
     lv += np.abs(factors.prod(axis=0, initial=inner.constant))
     return lv
 
 
-def _stays(
-    poly: np.ndarray,
-    inner: BlaschkeProduct,
-    s: complex,
-    best: float,
-    inner_abs: float,
-    at_zero: int | None,
-) -> bool:
-    """True when `_refine(poly, inner, s, best)` provably returns `best`.
+def _stays(polys, inner: BlaschkeProduct, s, best, inner_abs, at_seed) -> np.ndarray:
+    """For each row r, True when `_refine` from s[r] with value best[r]
+    provably returns best[r].
 
     While the search stays at s it visits the points p of the 48 boxes
     centred there, projected onto the closed disc as `_refine` projects
@@ -279,13 +405,13 @@ def _stays(
     in the box of p, a lower bound on |I(p)| over |z - s| <= T shows
     A_p + I_p >= best:
 
-    * at a root of a (`at_zero` None), |I(p)| >= |I(s)| - L*t with
-      L = sum_k (1-|l_k|^2)/g_k^2 * prod_{j != k} B_j, where g_k bounds
-      |1 - conj(l_k) z| from below and B_j bounds |b_{l_j}(z)| from above
-      by the pseudo-hyperbolic triangle inequality, from rho(s, l_j) and
-      rho_T >= rho(z, s);
-    * at the zero l_j = s (index `at_zero`), |I(p)| >= prod of the lower
-      pseudo-hyperbolic bounds of the other factors times
+    * at a root of a (at_seed[r] = n), |I(p)| >=
+      |I(s)| - L*t with L = sum_k (1-|l_k|^2)/g_k^2 * prod_{j != k} B_j,
+      where g_k bounds |1 - conj(l_k) z| from below and B_j bounds
+      |b_{l_j}(z)| from above by the pseudo-hyperbolic triangle
+      inequality, from rho(s, l_j) and rho_T >= rho(z, s);
+    * at the zero l_j = s (at_seed[r] = j < n), |I(p)| >= prod of the
+      lower pseudo-hyperbolic bounds of the other factors times
       |b_{l_j}(p)| >= t/(1 - |l_j|^2 + |l_j|*t).
 
     Rounding allowance: any computed |b_{l_k}(z)|, 1 - |l_k|^2 or
@@ -303,50 +429,102 @@ def _stays(
     zero and a is constant or I none and a has one root.  So it is taken
     from the first box, as `_refine` computes it, and compared; every
     other point at distance 0 from s gets that value too.
+    Rows run in blocks that fit the scan's size and _ZOOM_BATCH.
     """
+    n = inner.degree
+    block = max(
+        1,
+        min(
+            _SCAN_RADII.size * _SCAN_CIRCLE.size // (_ZOOM_H.size * max(_ZOOM_BOX.size, n)),
+            _ZOOM_BATCH // (_ZOOM_BOX.size * max(n, 1)),
+        ),
+    )
+    stays = np.zeros(len(best), dtype=bool)
+    for b in range(0, len(best), block):
+        rows = slice(b, b + block)
+        stays[rows] = _stays_block(
+            polys[rows], inner, s[rows], best[rows], inner_abs[rows], at_seed[rows]
+        )
+    return stays
+
+
+def _stays_block(polys, inner: BlaschkeProduct, s, best, inner_abs, at_seed) -> np.ndarray:
+    """`_stays` for one block of rows."""
     eps = np.finfo(float).eps
-    local = _boxes(s, _ZOOM_H[:, None])
-    zeros = np.array(inner.zeros, dtype=complex)[:, None, None]
-    if _box_values(poly, inner, zeros, local[:1])[0, _ZOOM_BOX.size // 2] != best:
-        return False
-    abs_a = np.abs(_horner(poly, local))
-    dist = np.abs(local - s)
-    near = (abs_a < best) & (dist > 0.0)
-    rows = near.any(axis=1)
-    if not rows.any():
-        return True
-    near, abs_a, dist = near[rows], abs_a[rows], dist[rows]
-    lam = zeros.ravel()
+    n = inner.degree
+    lam = np.array(inner.zeros, dtype=complex)
+    zeros = lam[:, None, None]
     lam_abs = np.abs(lam)
     rel = 16.0 * eps / (1.0 - lam_abs)
     eta = 16.0 * eps + rel.sum()
+    weight = 1.0 - lam_abs**2
+    centre = _ZOOM_BOX.size // 2
+    # row by row: numpy 2 buffers an operand broadcast across rows
+    abs_a = np.empty((len(s), _ZOOM_H.size, _ZOOM_BOX.size))
+    dist = np.empty_like(abs_a)
+    firsts = np.empty((len(s), 2), dtype=complex)
+    for r, (poly, sr) in enumerate(zip(polys, s)):
+        local = _boxes(sr, _ZOOM_H[:, None])
+        firsts[r] = local[0, centre - 1 : centre + 1]
+        abs_a[r] = np.abs(_horner(poly, local))
+        dist[r] = np.abs(local - sr)
+    # the search's value at s, from s and a neighbour in the first box
+    own = _box_values(polys, inner, zeros, firsts)[:, 1]
+    near = (abs_a < best[:, None, None]) & (dist > 0.0)
+    row, box = np.nonzero(near.any(axis=2))
+    # one array at a time, and the bounds in place (operands swapped)
+    near = near[row, box]
+    abs_a = abs_a[row, box]
+    dist = dist[row, box]
+    sk = s[row, None]
     t = dist * (1.0 + eta)
     T = np.where(near, t, 0.0).max(axis=1, keepdims=True)
-    rs = abs(s)
+    rs = np.hypot(sk.real, sk.imag)  # abs(s) of a Python complex
     rho_t = T / np.maximum(1.0 - rs * np.minimum(1.0, rs + T) - 4.0 * eps, T)
-    den_s = np.abs(1.0 - lam.conj() * s)
-    rho = np.abs(s - lam) / den_s
-    weight = 1.0 - lam_abs**2
-    if at_zero is None:
-        rho_hi = rho * (1.0 + rel)
-        upper = (rho_hi + rho_t) / (1.0 + rho_hi * rho_t)
-        gap = np.maximum(den_s - lam_abs * T, 1.0 - lam_abs * np.minimum(1.0, rs + T))
+    den_s = np.abs(1.0 - lam.conj() * sk)
+    rho = np.abs(sk - lam) / den_s
+    low = np.empty_like(t)
+    root = at_seed[row] >= n
+    if root.any():
+        rho_hi = rho[root] * (1.0 + rel)
+        upper = (rho_hi + rho_t[root]) / (1.0 + rho_hi * rho_t[root])
+        gap = np.maximum(
+            den_s[root] - lam_abs * T[root],
+            1.0 - lam_abs * np.minimum(1.0, rs[root] + T[root]),
+        )
         gap *= 1.0 - rel
         lip = upper.prod(axis=1) * (weight * (1.0 + rel) / (gap**2 * upper)).sum(axis=1)
-        low = (1.0 - eta) * inner_abs - (1.0 + eta) * lip[:, None] * t
-    else:
-        rho_lo = rho * (1.0 - rel)
-        lower = np.maximum(rho_lo - rho_t, 0.0) / (1.0 - rho_lo * rho_t)
-        lower[:, at_zero] = 1.0
-        own = lam_abs[at_zero]
-        t_lo = dist * (1.0 - eta)
-        low = lower.prod(axis=1)[:, None] * t_lo / (weight[at_zero] * (1.0 + rel[at_zero]) + own * t)
-    return bool(np.all(~near | (abs_a + (1.0 - eta) * low > best * (1.0 + 16.0 * eps))))
+        # (1 - eta) * |I(s)| - (1 + eta) * L * t
+        fall = t[root]
+        fall *= (1.0 + eta) * lip[:, None]
+        low[root] = np.subtract((1.0 - eta) * inner_abs[row[root], None], fall, out=fall)
+        del fall
+    zero = ~root
+    if zero.any():
+        j = at_seed[row[zero]]
+        rho_lo = rho[zero] * (1.0 - rel)
+        lower = np.maximum(rho_lo - rho_t[zero], 0.0) / (1.0 - rho_lo * rho_t[zero])
+        lower[np.arange(len(j)), j] = 1.0
+        # prod(lower) * t * (1 - eta) / (w_j * (1 + rel_j) + |l_j| * t)
+        rise = dist[zero]
+        rise *= 1.0 - eta
+        rise *= lower.prod(axis=1)[:, None]
+        own_t = t[zero]
+        own_t *= lam_abs[j, None]
+        own_t += (weight[j] * (1.0 + rel[j]))[:, None]
+        rise /= own_t
+        low[zero] = rise
+        del rise, own_t
+    del dist, t
+    low *= 1.0 - eta
+    low += abs_a
+    safe = np.all((low > best[row, None] * (1.0 + 16.0 * eps)) | ~near, axis=1)
+    stays = own == best
+    stays[row[~safe]] = False
+    return stays
 
 
-def bezout_solve(
-    symbol_coeffs, inner: BlaschkeProduct, delta: float | None = None
-) -> CoronaCertificate:
+def bezout_solve(symbol_coeffs, inner: BlaschkeProduct, delta=None):
     """Explicit pair u, v with a*u + I*v = 1 on the closed disc.
 
     Writing I = c * Pz / Q with Pz monic over the zeros and Q the
@@ -367,61 +545,155 @@ def bezout_solve(
     come from `inner.sup_data`, once per inner.  A caller that already
     holds `corona_delta` of this pair passes it as `delta` to skip the
     search.
+
+    A 2-D stack of symbols of one degree shares one `corona_delta` call,
+    the solves, the roots of U and the boundary values (in row blocks),
+    and gets a list holding each row's certificate or the
+    CommonZeroError or IllConditionedError its one-row call raises.
     """
-    poly = _symbol_poly(symbol_coeffs)
+    polys, stacked = _symbol_rows(symbol_coeffs)
     if delta is None:
-        delta = corona_delta(poly, inner)
-    zero_bound = min_abs_at_zeros(poly, inner)
-    consistent = (delta > 0.0) == (zero_bound > ZERO_TOL)
-    if delta == 0.0:
-        raise CommonZeroError(
+        delta = corona_delta(polys if stacked else polys[0], inner)
+    deltas = np.broadcast_to(np.asarray(delta, dtype=float), len(polys))
+    zero_bound = _min_abs_at_zeros(polys, inner)
+    results = [
+        CommonZeroError(
             "symbol vanishes at a zero of the inner function; no bounded "
             "Bezout pair exists"
         )
-
-    n = inner.degree
-    d_a = len(poly) - 1
-    cpz, q, q_roots, inner_sup = inner.sup_data
-    if d_a == 0:
-        u_terms, u_roots, w = ([1.0 / poly[0]], [1.0]), [], [0.0]
-    elif n == 0:
-        u_terms, u_roots, w = ([0.0], [1.0]), [], [1.0 / inner.constant]
-    else:
-        size = n + d_a
-        M = np.zeros((size, size), dtype=complex)
-        for i in range(n):
-            M[i : i + d_a + 1, i] = poly
-        for j in range(d_a):
-            M[j : j + n + 1, n + j] = cpz
-        rhs = np.zeros(size, dtype=complex)
-        rhs[: len(q)] = q
-        sol = np.linalg.solve(M, rhs)
-        correction = -(np.convolve(poly, sol[:n]) + np.convolve(cpz, sol[n:]))
-        correction[: len(q)] += q
-        sol = sol + np.linalg.solve(M, correction)
-        u_terms, u_roots, w = (sol[:n], q), q_roots, sol[n:]
-
-    num, den, roots = _lowest_terms(as_poly(u_terms[0]), as_poly(u_terms[1]), u_roots)
-    u_vals = _horner(num, SUP_POINTS) / _horner(den, SUP_POINTS)
-    v_vals = _horner(as_poly(w), SUP_POINTS)
-    lhs = _horner(poly, SUP_POINTS) * u_vals + inner_sup * v_vals
-    residual = float(np.abs(lhs - 1.0).max())
-    if not residual <= BEZOUT_TOL:
-        raise IllConditionedError(
-            f"Bezout identity residual {residual:.3e} exceeds {BEZOUT_TOL:.1e}"
+        for _ in range(len(polys))
+    ]
+    live = np.flatnonzero(deltas != 0.0)
+    for r, cert in zip(live, _bezout_pairs(polys[live], inner)):
+        if isinstance(cert, HardyOpsError):
+            results[r] = cert
+            continue
+        results[r] = CoronaCertificate(
+            symbol=tuple(complex(c) for c in polys[r]),
+            inner=inner,
+            delta=float(deltas[r]),
+            zero_bound=float(zero_bound[r]),
+            consistent=bool((deltas[r] > 0.0) == (zero_bound[r] > ZERO_TOL)),
+            **cert,
         )
-    return CoronaCertificate(
-        symbol=tuple(complex(c) for c in poly),
-        inner=inner,
-        delta=delta,
-        v_terms=(w, [1.0]),
-        u_reduced=(num, den, roots),
-        residual=residual,
-        sup_u=float(np.max(np.abs(u_vals))),
-        sup_v=float(np.max(np.abs(v_vals))),
-        zero_bound=zero_bound,
-        consistent=consistent,
-    )
+    if stacked:
+        return results
+    if isinstance(results[0], HardyOpsError):
+        raise results[0]
+    return results[0]
+
+
+def _bezout_pairs(polys: np.ndarray, inner: BlaschkeProduct) -> list:
+    """Each row's certificate fields of a*u + I*v = 1, or its
+    IllConditionedError.  The refinement keeps `np.convolve`'s order."""
+    rows, n, d = len(polys), inner.degree, polys.shape[1] - 1
+    if rows == 0:
+        return []
+    cpz, q, q_roots, inner_sup = inner.sup_data
+    if d == 0 or n == 0:
+        zero = np.broadcast_to(as_poly([0.0]), (rows, 1))
+        if d == 0:
+            nums, ws = 1.0 / polys, zero
+        else:
+            nums, ws = zero, np.full((rows, 1), 1.0 / inner.constant)
+        den, den_roots = as_poly([1.0]), np.empty(0, dtype=complex)
+    else:
+        size = n + d
+        M = np.zeros((rows, size, size), dtype=complex)
+        for i in range(n):
+            M[:, i : i + d + 1, i] = polys
+        for j in range(d):
+            M[:, j : j + n + 1, n + j] = cpz
+        rhs = np.zeros((rows, size, 1), dtype=complex)
+        rhs[:, : len(q), 0] = q
+        sol = np.linalg.solve(M, rhs)[..., 0]
+        correction = np.stack(
+            [-(np.convolve(a, x[:n]) + np.convolve(cpz, x[n:])) for a, x in zip(polys, sol)]
+        )
+        correction[:, : len(q)] += q
+        sol = sol + np.linalg.solve(M, correction[..., None])[..., 0]
+        nums, ws = sol[:, :n], sol[:, n:]
+        den, den_roots = as_poly(q), q_roots
+
+    # U/Q in lowest terms as `_lowest_terms` reduces it, U and W trimmed as
+    # `as_poly` trims them: rows of one shape together, and a row whose U
+    # shares a root with Q through `_lowest_terms` itself
+    fields = [None] * rows
+    shapes = list(zip(_trimmed_length(nums).tolist(), _trimmed_length(ws).tolist()))
+    for length_u, length_w in sorted(set(shapes)):
+        group = np.array([r for r, shape in enumerate(shapes) if shape == (length_u, length_w)])
+        u, w = nums[group, :length_u], ws[group, :length_w]
+        plain = np.ones(len(group), dtype=bool)
+        if length_u > 1 and len(den) > 1:
+            nonzero = np.flatnonzero(u.any(axis=1))
+            roots = _poly_roots(u[nonzero])
+            gap = den_roots[:, None] - roots[:, None, :]
+            tol = CIRCLE_ROOT_TOL * np.maximum(1.0, np.hypot(den_roots.real, den_roots.imag))
+            close = (np.hypot(gap.real, gap.imag) <= tol[:, None]).any(axis=(1, 2))
+            for k, u_roots in zip(nonzero[close], roots[close]):
+                plain[k] = False
+                reduced = _lowest_terms(u[k], den, den_roots, u_roots)
+                _sup_pass(fields, polys, group[k : k + 1], reduced, w[k : k + 1], inner_sup)
+        if plain.any():
+            lead = den[-1]
+            reduced = (u[plain] / lead, den / lead, den_roots)
+            _sup_pass(fields, polys, group[plain], reduced, w[plain], inner_sup)
+    return fields
+
+
+def _trimmed_length(rows: np.ndarray) -> np.ndarray:
+    """Each row's length as `as_poly` trims it."""
+    nonzero = rows != 0.0
+    last = rows.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), last, 1)
+
+
+def _sup_pass(fields, polys, rows, reduced, ws, inner_sup) -> None:
+    """fields[r] for the `rows` of `polys`, with u = nums[k] / den from
+    `reduced` = (nums, den, den roots) and v = ws[k]: the residual and sup
+    norms on SUP_POINTS, in blocks of rows that fit the scan's size."""
+    nums, den, den_roots = reduced
+    nums = np.atleast_2d(nums)
+    den_sup = _horner(den, SUP_POINTS)
+    block = max(1, _SCAN_RADII.size * _SCAN_CIRCLE.size // SUP_POINTS.size)
+    for b in range(0, len(rows), block):
+        k = slice(b, b + block)
+        u = _on_circle(nums[k])
+        u /= den_sup
+        sup_u = np.abs(u).max(axis=1)
+        lhs = _on_circle(polys[rows[k]])
+        lhs *= u
+        del u
+        # a constant v (a symbol of degree 1) is its one coefficient
+        v = _on_circle(ws[k]) if ws.shape[1] > 1 else ws[k]
+        sup_v = np.abs(v).max(axis=1)
+        lhs += inner_sup * v
+        del v
+        lhs -= 1.0
+        residual = np.abs(lhs).max(axis=1)
+        del lhs
+        for j, r in enumerate(rows[k]):
+            if not residual[j] <= BEZOUT_TOL:
+                fields[r] = IllConditionedError(
+                    f"Bezout identity residual {residual[j]:.3e} exceeds {BEZOUT_TOL:.1e}"
+                )
+                continue
+            fields[r] = {
+                "v_terms": (ws[b + j], [1.0]),
+                "u_reduced": (nums[b + j], den, den_roots),
+                "residual": float(residual[j]),
+                "sup_u": float(sup_u[j]),
+                "sup_v": float(sup_v[j]),
+            }
+
+
+def _on_circle(rows: np.ndarray) -> np.ndarray:
+    """Each row evaluated on SUP_POINTS; a call per row costs less than
+    numpy 2's buffering of a broadcast operand."""
+    out = np.empty((len(rows), SUP_POINTS.size), dtype=complex)
+    for row, values in zip(rows, out):
+        _horner(row, SUP_POINTS, values)
+    return out
 
 
 def corona_inverse_apply(
@@ -533,24 +805,23 @@ def _conjugate_kernel_coords(inner: BlaschkeProduct, z: complex, q: float) -> np
     return scale * np.sqrt(1.0 - np.abs(lam) ** 2) / den * later
 
 
-def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, count: int, rule):
+def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, windows):
     """(sum_zeta w * |f(zeta)|^p)^(1/p) for the model-space elements f whose
-    Takenaka-Malmquist coordinates are the columns of `coords`, over a
-    quadrature of `count` nodes whose nodes i:j with their weights (an
-    array or one number) are `rule(i, j)`.
+    Takenaka-Malmquist coordinates are the columns of `coords`, over the
+    nodes and weights that `windows` yields, window by window.
 
     Each chunk of nodes gets one evaluation of the basis (`_tm_rows`),
     shared by all columns, which then take one matrix product per group
     of columns; a chunk has at least _PROBE_NODES nodes unless fewer are
-    left, and a group at most _PROBE_BLOCK values.  The sums run relative to the
-    largest modulus seen so far, so no power overflows for large p."""
+    left, and a group at most _PROBE_BLOCK values.  The sums run relative
+    to the largest modulus seen so far, so no power overflows for large
+    p."""
     n, cols = coords.shape
     size = max(_PROBE_NODES, _PROBE_BLOCK // max(n, cols, 1))
     width = max(1, _PROBE_BLOCK // size)
     top = np.full(cols, np.finfo(float).tiny)
     total = np.zeros(cols)
-    for i in range(0, count, size):
-        pts, w = rule(i, min(i + size, count))
+    for pts, w in _chunks(windows, size):
         basis = _tm_rows(inner, pts)
         for j in range(0, cols, width):
             mod = np.abs(coords[:, j : j + width].T @ basis)
@@ -562,6 +833,21 @@ def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, count: int, r
             total[j : j + width] += np.sum(mod * w, axis=-1)
             top[j : j + width] = new
     return top * total ** (1.0 / p)
+
+
+def _chunks(windows, size: int):
+    """The nodes and weights of `windows` in chunks of `size`."""
+    nodes, weights = np.empty(0, dtype=complex), np.empty(0)
+    for x, w in windows:
+        if len(nodes):
+            x, w = np.concatenate([nodes, x]), np.concatenate([weights, w])
+        nodes, weights = x, w
+        stop = len(nodes) - len(nodes) % size
+        for i in range(0, stop, size):
+            yield nodes[i : i + size], weights[i : i + size]
+        nodes, weights = nodes[stop:], weights[stop:]
+    if len(nodes):
+        yield nodes, weights
 
 
 def near_degenerate_probe(
@@ -591,7 +877,8 @@ def near_degenerate_probe(
     reflections; a grid above GRID_MAX_M nodes raises UnitDiscError.  For
     any other p, |f|^p also has branch points at the zeros of f, which
     approach the circle as |z| does, and the mean runs over the nodes of
-    `grid_for_radius(max(|z|, |lambda_k|))` over all probes.
+    `grid_for_radius(max(|z|, |lambda_k|))` over all probes.  Either way
+    the nodes reach `_p_norms` window by window.
     """
     params = _as_params(params if params is not None else 2.0)
     poly = _symbol_poly(symbol_coeffs)
@@ -606,21 +893,20 @@ def near_degenerate_probe(
     radius = max(abs(lam) for lam in inner.zeros)
     p = params.p
     if p % 2.0 == 0.0 and p / 2.0 * inner.degree <= min(_grid_band(radius)[0], GRID_MAX_M):
-        nodes, weights = clark_rule(inner, power=int(p) // 2)
-        count = len(nodes)
-
-        def rule(i, j):
-            return nodes[i:j], weights[i:j]
-
+        windows = _clark_windows(inner, power=int(p) // 2)
     else:
         if p % 2.0 != 0.0:
             radius = max([radius] + [abs(z) for z in probes])
         count = grid_for_radius(radius).m
+        windows = (
+            (
+                np.exp(2j * np.pi * np.arange(i, min(i + _PROBE_BLOCK, count)) / count),
+                np.full(min(_PROBE_BLOCK, count - i), 1.0 / count),
+            )
+            for i in range(0, count, _PROBE_BLOCK)
+        )
 
-        def rule(i, j):
-            return np.exp(2j * np.pi * np.arange(i, j) / count), 1.0 / count
-
-    norms = _p_norms(inner, coords, p, count, rule)
+    norms = _p_norms(inner, coords, p, windows)
     rows = [
         ProbeRow(
             z=z,

@@ -150,16 +150,13 @@ def _clark_phase(zeros, power: int, count: int, theta: np.ndarray):
     return count * theta + 2.0 * power * arg, slope
 
 
-def _clark_roots(phase, grid, sampled, targets, floor: float):
+def _clark_roots(phase, lo, hi, theta, targets, floor: float):
     """theta with phase(theta) = targets, to within `floor` or to the
     resolution of theta, and 1/phase'(theta) there, for an increasing
-    phase sampled as `sampled` on `grid`: Newton steps, with bisection when
-    a step leaves its bracket or fails to halve the one before."""
+    phase bracketed on [lo, hi] and started at `theta`: Newton steps, with
+    bisection when a step leaves its bracket or fails to halve the one
+    before."""
     eps = np.finfo(float).eps
-    right = np.searchsorted(sampled, targets, side="right")
-    lo, hi = grid[right - 1], grid[right]
-    share = (targets - sampled[right - 1]) / (sampled[right] - sampled[right - 1])
-    theta = lo + share * (hi - lo)
     last = hi - lo
     weights = np.empty(len(targets))
     active = np.arange(len(targets))
@@ -186,6 +183,74 @@ def _clark_roots(phase, grid, sampled, targets, floor: float):
     )
 
 
+def _clark_windows(inner: BlaschkeProduct, power: int = 1, extra: int = 0):
+    """The nodes and weights of `clark_rule(inner, power, extra)` as an
+    iterator of consecutive windows of at most _CLARK_BLOCK nodes, so that
+    a caller summing over them holds O(_CLARK_BLOCK) values whatever the
+    node count.  Invalid arguments raise at once; an unresolved node
+    raises IllConditionedError when its window is reached."""
+    power, extra = int(power), int(extra)
+    count = power * inner.degree + extra
+    if power < 1 or extra < 0 or count < 1:
+        raise ValueError(f"Clark rule needs power >= 1, extra >= 0 and a node: {power}, {extra}")
+    return _clark_solve(np.asarray(inner.zeros, dtype=complex), power, count)
+
+
+def _clark_solve(zeros, power: int, count: int):
+    """The windows of `_clark_windows`: the phase is sampled window by
+    window on the grid 2*pi*k/count, k = 0..count, and the monotone
+    targets are merged against each sampled window for their brackets."""
+
+    def phase(theta):
+        return _clark_phase(zeros, power, count, theta)
+
+    def sampled():
+        start = None
+        for i in range(0, count + 1, _CLARK_BLOCK):
+            k = np.arange(i, min(i + _CLARK_BLOCK, count + 1))
+            grid = 2.0 * np.pi * k / count
+            values = phase(grid)[0]
+            start = values[0] if start is None else start
+            if k[-1] == count:  # Phi(2*pi) is Phi(0) + 2*pi*count exactly
+                values[-1] = start + 2.0 * np.pi * count
+            yield grid, values
+
+    windows = sampled()
+    grid, values = next(windows)
+    start = values[0]
+    end = start + 2.0 * np.pi * count
+    # a few roundings of the largest terms of Phi
+    floor = 12.0 * np.finfo(float).eps * max(abs(start), abs(end))
+    j, held, parts, last = 0, 0, [], None
+    while True:
+        if last is not None:  # the bracket across the window's first sample
+            grid, values = np.append(last[0], grid), np.append(last[1], values)
+        last = grid[-1], values[-1]
+        while j < count:
+            stop = min(count, j + _CLARK_BLOCK - held)
+            targets = start + 2.0 * np.pi * (np.arange(j, stop) + 0.5)
+            right = np.searchsorted(values, targets, side="right")
+            inside = int(np.searchsorted(right, len(values)))
+            if inside:
+                r = right[:inside]
+                lo, hi = grid[r - 1], grid[r]
+                share = (targets[:inside] - values[r - 1]) / (values[r] - values[r - 1])
+                parts.append((targets[:inside], lo, hi, lo + share * (hi - lo)))
+                held += inside
+                j += inside
+            if held == _CLARK_BLOCK or j == count:
+                pieces = zip(*parts)
+                targets, lo, hi, theta = (np.concatenate(x) if len(x) > 1 else x[0] for x in pieces)
+                theta, weights = _clark_roots(phase, lo, hi, theta, targets, floor)
+                yield np.exp(1j * theta), weights
+                held, parts = 0, []
+            elif inside < len(targets):
+                break
+        if j == count:
+            return
+        grid, values = next(windows)
+
+
 def clark_rule(inner: BlaschkeProduct, power: int = 1, extra: int = 0):
     """Nodes and weights of the exact quadrature for K_J, J = z^extra * I^power.
 
@@ -202,32 +267,13 @@ def clark_rule(inner: BlaschkeProduct, power: int = 1, extra: int = 0):
     of J on the circle: each arg lies in (-pi/2, pi/2), so Phi needs no
     unwrapping, and it increases with Phi' = |J'|.  Brackets come from N
     equispaced samples of Phi, and `_clark_roots` refines _CLARK_BLOCK nodes
-    at a time, so memory is O(N) whatever n, about 64 bytes a node.
-    Only the zeros enter, not S_I.  A node left unresolved after
-    _CLARK_MAX_ITER steps raises IllConditionedError.
+    at a time.  This is the concatenation of `_clark_windows`, which holds
+    O(_CLARK_BLOCK) values at a time, whatever n and N.  Only the zeros
+    enter, not S_I.  A node left unresolved after _CLARK_MAX_ITER steps
+    raises IllConditionedError.
     """
-    power, extra = int(power), int(extra)
-    count = power * inner.degree + extra
-    if power < 1 or extra < 0 or count < 1:
-        raise ValueError(f"Clark rule needs power >= 1, extra >= 0 and a node: {power}, {extra}")
-    zeros = np.asarray(inner.zeros, dtype=complex)
-
-    def phase(theta):
-        return _clark_phase(zeros, power, count, theta)
-
-    grid = 2.0 * np.pi * np.arange(count + 1) / count
-    sampled = np.concatenate(
-        [phase(grid[i : i + _CLARK_BLOCK])[0] for i in range(0, count + 1, _CLARK_BLOCK)]
-    )
-    sampled[-1] = sampled[0] + 2.0 * np.pi * count
-    # a few roundings of the largest terms of Phi
-    floor = 12.0 * np.finfo(float).eps * np.abs(sampled[[0, -1]]).max()
-    theta, weights = np.empty(count), np.empty(count)
-    for i in range(0, count, _CLARK_BLOCK):
-        j = np.arange(i, min(i + _CLARK_BLOCK, count))
-        targets = sampled[0] + 2.0 * np.pi * (j + 0.5)
-        theta[j], weights[j] = _clark_roots(phase, grid, sampled, targets, floor)
-    return np.exp(1j * theta), weights
+    nodes, weights = zip(*_clark_windows(inner, power, extra))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def tm_kernel_at_zero(inner: BlaschkeProduct) -> np.ndarray:

@@ -555,18 +555,22 @@ def test_sweep_symbol_zero(tmp_path):
     assert healthy[7] == "1" and float(healthy[4]) > 0.0
 
 
-def test_sweep_symbol_zero_one_corona_delta_per_row(tmp_path, monkeypatch):
+def test_sweep_symbol_zero_one_stacked_call_per_sweep(tmp_path, monkeypatch):
+    # every row's delta and Bezout pair come from one stacked call each,
+    # and the delta column is the one-row calls' floats
     from hardyops import blaschke_make, corona
 
-    real = corona.corona_delta
-    calls = []
+    one_row = corona.corona_delta
+    calls = {"corona_delta": [], "bezout_solve": []}
+    for name in calls:
+        real = getattr(corona, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counted(*args, _real=real, _calls=calls[name], **kwargs):
+            _calls.append(args)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(corona, "corona_delta", counted)
-    monkeypatch.setattr(cli, "corona_delta", counted)
+        monkeypatch.setattr(corona, name, counted)
+        monkeypatch.setattr(cli, name, counted)
     offsets = [0.0, 0.2, [0.0, 0.4], 0.05]
     cfg = write_json(tmp_path, "cfg.json", base_config())
     fam = write_json(
@@ -574,12 +578,45 @@ def test_sweep_symbol_zero_one_corona_delta_per_row(tmp_path, monkeypatch):
     )
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--family", fam, "--out", str(out)]) == 0
-    assert len(calls) == len(offsets)
+    assert len(calls["corona_delta"]) == len(calls["bezout_solve"]) == 1
+    assert np.shape(calls["corona_delta"][0][0]) == (len(offsets), 2)
     inner = blaschke_make([0.3, -0.5])
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     for row, t in zip(rows, offsets):
         w = 0.3 + (complex(*t) if isinstance(t, list) else t)
-        assert row.split(",")[4] == format(real([-w, 1.0], inner), ".12g")
+        assert row.split(",")[4] == format(one_row([-w, 1.0], inner), ".12g")
+
+
+def test_sweep_run_memory_is_bounded():
+    # a 10-row degree-6 sweep: the stacked passes run in row blocks, so
+    # the traced peak stays near the per-row route's 1.1 MB
+    zeros = [0.52 + 0.1j, -0.31 - 0.62j, 0.05 + 0.7j, -0.75 + 0.2j, 0.4 - 0.55j, -0.1 + 0.15j]
+    doc = {"inner": {"zeros": [[z.real, z.imag] for z in zeros]}, "symbol": [1.0]}
+    offsets = [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.0, [0.0, 0.3]]
+    family = {"kind": "symbol_zero", "zero": [0.52, 0.1], "offsets": offsets}
+    run_sweep(parse_config(doc), family)  # first-call imports and caches
+    config = parse_config(doc)
+    tracemalloc.start()
+    try:
+        table = run_sweep(config, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.splitlines()) == len(offsets) + 1
+    assert peak <= 1_200_000
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    cfg = write_json(tmp_path, "cfg.json", base_config())
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "missing" / "x.out")]
+    if command == "sweep":
+        fam = {"kind": "symbol_zero", "zero": 0.3, "offsets": [0.1]}
+        argv[3:3] = ["--family", write_json(tmp_path, "fam.json", fam)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output file ")
+    assert "x.out" in err
 
 
 def test_sweep_ill_conditioned_row_exits_3(tmp_path, capsys):
@@ -738,6 +775,32 @@ def test_sweep_probe_radius_zero_too_close_to_circle_large_even_p_exits_3(tmp_pa
     assert code == 3
     assert peak < 1 << 20
     assert f"m={2**26}" in capsys.readouterr().err
+
+
+def test_sweep_probe_radius_large_even_p_memory_is_bounded(tmp_path):
+    # p = 10^6 takes the k*n = 10^6 Clark points of I^k; they reach the
+    # norms window by window, so the traced peak stays under 8 MB (whole
+    # arrays of nodes peaked at 61 MB)
+    doc = base_config()
+    zero = 0.99999 * np.exp(0.3j)
+    doc["inner"] = {"zeros": [[zero.real, zero.imag], -0.5]}
+    doc["symbol"] = [1.0, 0.3]
+    doc["p"] = 1e6
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    family = {"kind": "probe_radius", "radii": [0.0, 0.5, 0.9, 0.99], "angle": 0.3}
+    fam = write_json(tmp_path, "fam.json", family)
+    out = tmp_path / "probe.csv"
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--config", cfg, "--family", fam, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 << 20
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 4 and all(row[6] == "1000000" for row in rows)
+    assert all(0.0 < float(row[3]) < float(row[4]) < np.inf for row in rows)
 
 
 def test_sweep_determinism(tmp_path):

@@ -33,9 +33,10 @@ from hardyops import (
     toeplitz_apply,
 )
 from hardyops import corona
-from hardyops.blaschke import SUP_POINTS, as_poly
+from hardyops.blaschke import SUP_POINTS, as_poly, sorted_zeros
 from hardyops.hardy import p_mean
 from hardyops.model_space import _project_samples
+from hardyops.operators import _poly_of_matrix, _tm_shift
 
 P = np.polynomial.polynomial
 
@@ -83,6 +84,40 @@ def _reference_corona_delta(symbol_coeffs, inner):
             center = complex(local[i])
         h *= 0.6
     return best
+
+
+def _box_by_box(poly, inner, center, best):
+    """Reference for `corona._refine`: the 48-box search of one row, box
+    after box, each box of 9x9 points centred at the best point so far
+    and projected onto the closed disc, I by one broadcast over its
+    zeros; the first point below `best` moves it."""
+    zeros = np.array(inner.zeros, dtype=complex)[:, None]
+    for h in corona._ZOOM_H:
+        local = center + h * corona._ZOOM_BOX
+        if abs(center) + 1.5 * h >= 1.0:
+            r = np.abs(local)
+            local = np.where(r > 1.0, local / np.maximum(r, 1e-300), local)
+        factors = (local - zeros) / (1.0 - zeros.conj() * local)
+        lv = np.abs(corona._horner(poly, local))
+        lv += np.abs(factors.prod(axis=0, initial=inner.constant))
+        i = lv.argmin()
+        if lv[i] < best:
+            best, center = float(lv[i]), complex(local[i])
+    return best
+
+
+def _stays_one(poly, inner, s, best, inner_abs, at_zero):
+    """`corona._stays` for one row; at_zero None marks a root of a."""
+    at_seed = inner.degree if at_zero is None else at_zero
+    stays = corona._stays(
+        np.atleast_2d(poly), inner, np.array([s], dtype=complex), np.array([best]),
+        np.array([inner_abs]), np.array([at_seed]),
+    )
+    return bool(stays[0])
+
+
+def _refine_one(poly, inner, s, best):
+    return float(corona._refine(np.atleast_2d(poly), inner, [s], [best])[0])
 
 
 def _delta_pairs(rng, count):
@@ -169,10 +204,10 @@ def test_delta_skips_only_a_search_that_stays(monkeypatch):
     fired = []
     real = corona._stays
 
-    def recorded(poly, inner, s, best, inner_abs, at_zero):
-        stays = real(poly, inner, s, best, inner_abs, at_zero)
-        if stays:
-            fired.append((poly, inner, s, best, at_zero is None))
+    def recorded(polys, inner, s, best, inner_abs, at_seed):
+        stays = real(polys, inner, s, best, inner_abs, at_seed)
+        for k in np.flatnonzero(stays):
+            fired.append((polys[k], inner, s[k], best[k], at_seed[k] == inner.degree))
         return stays
 
     monkeypatch.setattr(corona, "_stays", recorded)
@@ -182,9 +217,91 @@ def test_delta_skips_only_a_search_that_stays(monkeypatch):
         delta = corona_delta(a, inner)
         if len(fired) > count:
             poly, inner, s, best, _ = fired[-1]
-            assert delta == best == corona._refine(poly, inner, s, best)
+            assert delta == best == _refine_one(poly, inner, s, best)
     at_root = sum(root for *_, root in fired)
     assert at_root > 500 and len(fired) - at_root > 50
+
+
+def test_refine_lockstep_matches_box_by_box():
+    # rows searching in lockstep, each on its own box schedule, end where
+    # the search of each row alone ends, to the bit
+    rng = np.random.default_rng(80)
+    for k in range(150):
+        inner = blaschke_make(random_zeros(rng, int(rng.integers(0, 13)), radius=0.95))
+        rows = int(rng.integers(1, 9))
+        polys = np.array([random_poly(rng, int(k % 3) + 1) for _ in range(rows)])
+        angles = np.exp(2j * np.pi * rng.uniform(size=rows))
+        center = 1.02 * np.sqrt(rng.uniform(size=rows)) * angles
+        center = np.where(np.abs(center) > 1.0, center / np.abs(center), center)
+        best = np.abs([P.polyval(z, a) for z, a in zip(center, polys)])
+        best += np.abs(blaschke_eval(inner, center))
+        best += rng.choice([0.0, 1e-3, 0.5], size=rows)
+        refined = corona._refine(polys, inner, center, best)
+        for r in range(rows):
+            assert refined[r] == _box_by_box(polys[r], inner, center[r], best[r])
+
+
+def _random_sweeps(rng, count):
+    """(inner, symbols) of seeded `symbol_zero` sweeps, a(z) = z - w, of 2
+    rows (4 in every tenth): inner degree 1 to 12 with repeated zeros, and
+    w near a zero of I (with offset-0 rows, common zeros) in 17 sweeps of
+    20, else outside the disc, near 1/conj(lambda_1), where U and Q share
+    a root, or anywhere in the disc, whose searches take longer."""
+    for k in range(count):
+        degree = int(rng.integers(1, 13))
+        zeros = list(random_zeros(rng, degree, radius=0.9))
+        if degree > 1 and k % 5 == 1:
+            zeros[1] = zeros[0]
+        inner = blaschke_make(zeros, np.exp(2j * np.pi * rng.uniform()))
+        kind = k % 20
+        if kind < 17:
+            base = zeros[0]
+        elif kind == 17:
+            base = rng.uniform(1.05, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        elif kind == 18:
+            base = 1.0 / np.conj(zeros[0]) if abs(zeros[0]) > 0.1 else 2.0
+        else:
+            base = random_zeros(rng, 1, radius=1.0)[0]
+        steps = rng.choice([0.0, 1e-7, 1e-3, 0.05, 0.5], size=4 if k % 10 == 3 else 2)
+        offsets = steps * np.exp(2j * np.pi * rng.uniform(size=len(steps)))
+        yield inner, np.array([[-(base + t), 1.0] for t in offsets])
+
+
+def test_stacked_sweeps_match_one_row_calls():
+    # every stacked figure of a sweep row is the float of its one-row call
+    near_zero = [-0.13 + 0.06j, -0.54 - 0.08j, 0.11 - 0.11j, -0.18 + 0.26j, -0.75 - 0.48j]
+    near_zero.append(-0.3 - 0.67j)
+    offsets = (0.1, 1e-6, 0.0)
+    ill = (blaschke_make(near_zero), np.array([[-(near_zero[0] + t), 1.0] for t in offsets]))
+    seen = {"common": 0, "ill": 0, "cancel": 0, "outside": 0}
+    sweeps = [ill, *_random_sweeps(np.random.default_rng(81), 2000)]
+    for inner, symbols in sweeps:
+        deltas = corona_delta(symbols, inner)
+        bounds = min_abs_at_zeros(symbols, inner)
+        certs = bezout_solve(symbols, inner)
+        S = _tm_shift(sorted_zeros(inner))
+        adjoints = _poly_of_matrix(symbols, S).conj().swapaxes(-1, -2)
+        sigmas = np.linalg.svd(adjoints, compute_uv=False)[:, -1]
+        seen["outside"] += int(np.any(np.abs(symbols[:, 0]) > 1.0))
+        for k, symbol in enumerate(symbols):
+            delta = corona_delta(symbol, inner)
+            assert deltas[k] == delta
+            assert bounds[k] == min_abs_at_zeros(symbol, inner)
+            assert sigmas[k] == tm_compression(inner, coanalytic=symbol).sigma_min()
+            try:
+                cert = bezout_solve(symbol, inner, delta=delta)
+            except (CommonZeroError, IllConditionedError) as exc:
+                assert type(certs[k]) is type(exc) and str(certs[k]) == str(exc)
+                seen["common" if isinstance(exc, CommonZeroError) else "ill"] += 1
+                continue
+            got = certs[k]
+            assert (got.delta, got.sup_u, got.sup_v, got.residual, got.zero_bound) == (
+                cert.delta, cert.sup_u, cert.sup_v, cert.residual, cert.zero_bound
+            )
+            for mine, theirs in zip(got.u_reduced, cert.u_reduced):
+                np.testing.assert_array_equal(mine, theirs)
+            seen["cancel"] += len(cert.u_reduced[1]) <= inner.degree
+    assert min(seen.values()) > 0, seen
 
 
 def test_delta_certificates_fire_and_refuse():
@@ -199,31 +316,31 @@ def test_delta_certificates_fire_and_refuse():
     poly = as_poly([-0.1, 1.0])
     inner = blaschke_make([0.5, -0.5j])
     best, inner_abs = value(poly, inner, 0.1)
-    assert corona._stays(poly, inner, 0.1, best, inner_abs, None)
-    assert corona_delta(poly, inner) == best == corona._refine(poly, inner, 0.1, best)
+    assert _stays_one(poly, inner, 0.1, best, inner_abs, None)
+    assert corona_delta(poly, inner) == best == _refine_one(poly, inner, 0.1, best)
     # at the root 0.45 of a = 0.3 (z - 0.45), |I| falls faster towards the
     # zero 0.5 than |a| grows: the search moves
     poly = as_poly([-0.135, 0.3])
     best, inner_abs = value(poly, inner, 0.45)
-    assert not corona._stays(poly, inner, 0.45, best, inner_abs, None)
-    assert corona._refine(poly, inner, 0.45, best) < best
+    assert not _stays_one(poly, inner, 0.45, best, inner_abs, None)
+    assert _refine_one(poly, inner, 0.45, best) < best
 
     # at the zero 0.2 of I, |I| grows faster than |a| = |0.3 - 0.05 z| falls
     poly = as_poly([0.3, -0.05])
     inner = blaschke_make([0.2, -0.2])
     best, _ = value(poly, inner, 0.2)
-    assert corona._stays(poly, inner, 0.2, best, 0.0, 0)
-    assert corona_delta(poly, inner) == best == corona._refine(poly, inner, 0.2, best)
+    assert _stays_one(poly, inner, 0.2, best, 0.0, 0)
+    assert corona_delta(poly, inner) == best == _refine_one(poly, inner, 0.2, best)
     # |a| = |z - 0.5| falls with slope 1, |I| grows with slope 0.4: it moves
     poly = as_poly([-0.5, 1.0])
     best, _ = value(poly, inner, 0.2)
-    assert not corona._stays(poly, inner, 0.2, best, 0.0, 0)
-    assert corona._refine(poly, inner, 0.2, best) < best
+    assert not _stays_one(poly, inner, 0.2, best, 0.0, 0)
+    assert _refine_one(poly, inner, 0.2, best) < best
     # a repeated zero gives |I| no linear growth: refused
     inner = blaschke_make([0.2, 0.2, -0.2])
     poly = as_poly([0.3, -0.05])
     best, _ = value(poly, inner, 0.2)
-    assert not corona._stays(poly, inner, 0.2, best, 0.0, 0)
+    assert not _stays_one(poly, inner, 0.2, best, 0.0, 0)
 
     # with no zeros and one root the scan rounds |a| at its one seed on a
     # length-1 array, which numpy may round unlike the boxes; the search's
@@ -232,9 +349,9 @@ def test_delta_certificates_fire_and_refuse():
     inner = blaschke_make([])
     s = complex(P.polyroots(poly)[0])
     best = float(np.abs(corona._horner(poly, np.array([s])))[0] + 1.0)
-    refined = corona._refine(poly, inner, s, best)
+    refined = _refine_one(poly, inner, s, best)
     assert corona_delta(poly, inner) == refined
-    assert refined == best or not corona._stays(poly, inner, s, best, 1.0, None)
+    assert refined == best or not _stays_one(poly, inner, s, best, 1.0, None)
 
 
 def test_delta_constant_inner_anchors():
@@ -280,6 +397,12 @@ def test_non_finite_symbol_rejected():
             near_degenerate_probe(inner, bad, [0.2], 2.0)
     with pytest.raises(ValueError, match="finite"):
         min_abs_at_zeros([np.nan, 1.0], blaschke_make([]))
+    # a stack takes rows of one degree, all finite
+    for fn in (corona_delta, min_abs_at_zeros, bezout_solve):
+        with pytest.raises(ValueError, match="finite"):
+            fn(np.array([[0.5, 1.0], [np.nan, 1.0]]), inner)
+        with pytest.raises(ValueError, match="leading"):
+            fn(np.array([[0.5, 1.0], [0.5, 0.0]]), inner)
 
 
 def test_bezout_nan_residual_fails_gate(monkeypatch):
@@ -418,20 +541,28 @@ def test_bezout_check_solves_each_root_set_once(monkeypatch, zeros, symbol):
     # the reduction solves for the roots of Q (once per inner) and of U;
     # reading u and v, as a report does, solves for no roots again
     real = P.polyroots
-    calls = []
+    stacked = corona._poly_roots
+    calls, stacks = [], []
 
     def counted(coeffs):
         calls.append(len(coeffs))
         return real(coeffs)
 
+    def counted_stack(polys):
+        stacks.append(polys.shape)
+        return stacked(polys)
+
     inner = blaschke_make(zeros)
     delta = corona_delta(symbol, inner)
     monkeypatch.setattr(P, "polyroots", counted)
+    monkeypatch.setattr(corona, "_poly_roots", counted_stack)
     cert = bezout_solve(symbol, inner, delta=delta)
     cert.to_json_dict()
-    # U had as many coefficients as it kept, plus one per root that cancelled
+    # Q's roots once per inner, U's from the stacked companion solve: U had
+    # as many coefficients as it kept, plus one per root that cancelled
     num, den, _ = cert.u_reduced
-    assert calls == [len(zeros) + 1, len(num) + inner.degree + 1 - len(den)]
+    assert calls == [len(zeros) + 1]
+    assert stacks == [(1, len(num) + inner.degree + 1 - len(den))]
     assert np.all(np.abs(P.polyroots(cert.u.den)) > 1.0)
 
 

@@ -231,6 +231,25 @@ def test_clark_rule_failures(monkeypatch):
         clark_rule(inner)
 
 
+@pytest.mark.parametrize("power, extra", [(1, 0), (40, 3), (300, 0)])
+def test_clark_windows_bracket_across_windows(monkeypatch, power, extra):
+    # with windows of 64 grid points and nodes, targets meet brackets that
+    # straddle two windows and windows that hold many or no targets; the
+    # nodes are those of one window, within rounding
+    rng = np.random.default_rng(39)
+    zeros = list(random_zeros(rng, 3, 0.9)) + [0.999 * np.exp(0.7j)]
+    inner = blaschke_make(zeros, np.exp(0.3j))
+    whole_nodes, whole_weights = clark_rule(inner, power, extra)
+    monkeypatch.setattr(model_space, "_CLARK_BLOCK", 64)
+    windows = list(model_space._clark_windows(inner, power, extra))
+    assert all(len(x) <= 64 for x, _ in windows)
+    nodes, weights = clark_rule(inner, power, extra)
+    assert nodes.shape == (power * inner.degree + extra,)
+    np.testing.assert_allclose(nodes, whole_nodes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weights, whole_weights, rtol=1e-9, atol=0)
+    assert np.all(np.diff(np.angle(nodes) % (2.0 * np.pi)) > 0.0)
+
+
 def test_cauchy_basis():
     inner = blaschke_make([0.3, -0.5])
     basis = cauchy_basis(inner, 2.0)
