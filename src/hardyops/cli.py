@@ -190,8 +190,12 @@ def load_json(path: str, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{what} file {path} nests too deeply to decode") from exc
 
 
 def _check_corona(config: RunConfig) -> dict:
@@ -457,7 +461,7 @@ def _emit(text: str, out: str | None) -> None:
             raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardyops",
         description="checks and sweeps for Toeplitz operators on model spaces",
@@ -470,7 +474,16 @@ def main(argv=None) -> int:
     sp.add_argument("--config", required=True, help="path to the run config JSON")
     sp.add_argument("--family", required=True, help="path to the family JSON")
     sp.add_argument("--out", help="output path (stdout when omitted)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+#: Built once per process; `parse_args` keeps no state between calls, and
+#: a build costs several times a parse.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         config = parse_config(load_json(args.config, "config"))

@@ -1,6 +1,7 @@
 """Command line front end: config validation, report structure, byte
 determinism, exit codes, and sweep CSV output."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -200,6 +201,31 @@ def test_exit_code_config_errors(tmp_path, capsys):
         bad.write_text(text, encoding="utf-8")
         assert main(["report", "--config", str(bad)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["config", "family"])
+def test_non_utf8_input_is_a_config_error(tmp_path, capsys, what):
+    cfg = write_json(tmp_path, "cfg.json", base_config())
+    fam = write_json(tmp_path, "fam.json", {"kind": "symbol_zero", "zero": 0.3, "offsets": [0.1]})
+    if what == "config":
+        # a 0xE9 byte (Latin-1 e-acute) inside a key
+        bad = Path(cfg)
+        bad.write_bytes(bad.read_bytes().replace(b'"seed"', b'"s\xe9ed"'))
+        argv = ["report", "--config", cfg]
+    else:
+        bad = Path(fam)
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        argv = ["sweep", "--config", cfg, "--family", fam]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {what} file {bad} is not valid UTF-8: ")
+
+
+def test_deeply_nested_input_is_a_config_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main(["report", "--config", str(deep)]) == 2
+    assert capsys.readouterr().err == f"config error: config file {deep} nests too deeply to decode\n"
 
 
 def test_exit_code_numerical_failure(tmp_path, monkeypatch):
@@ -874,20 +900,91 @@ def test_printed_tolerances_are_the_enforced_constants():
     assert CHECKS["projection"][2] == "projection_defect"
 
 
+def _run_module(argv, **env):
+    """`python -m hardyops.cli argv` in a fresh process that imports the
+    same sources as this one."""
+    src = str(Path(hardyops.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hardyops.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+    )
+
+
 def test_module_entry_point(tmp_path):
     doc = base_config()
     doc["checks"] = ["corona"]
     cfg = write_json(tmp_path, "cfg.json", doc)
-    # the child imports the same sources as this process
-    src = str(Path(hardyops.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hardyops.cli", "report", "--config", cfg],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _run_module(["report", "--config", cfg])
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["schema"] == 1
     assert report["checks"]["corona"]["invertible"]
+
+
+@pytest.fixture(scope="module")
+def parser_calls(tmp_path_factory):
+    """A report, a sweep, two argv errors, a config error and --help, each
+    with its exit code, stdout and stderr from a fresh process."""
+    tmp = tmp_path_factory.mktemp("parser_calls")
+    doc = dict(base_config(), checks=["corona", "compressed"])
+    cfg = write_json(tmp, "cfg.json", doc)
+    fam = write_json(tmp, "fam.json", {"kind": "symbol_zero", "zero": 0.3, "offsets": [0.2, 0.1]})
+    calls = {
+        "report": ["report", "--config", cfg],
+        "no_config": ["report"],
+        "unknown_command": ["frobnicate", "--config", cfg],
+        "sweep": ["sweep", "--config", cfg, "--family", fam],
+        "config_error": ["report", "--config", str(tmp / "missing.json")],
+        "help": ["--help"],
+    }
+    fresh = {}
+    for name, argv in calls.items():
+        proc = _run_module(argv, COLUMNS="80")
+        fresh[name] = (proc.returncode, proc.stdout, proc.stderr)
+    return calls, fresh
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ["report", "no_config", "unknown_command", "sweep", "config_error", "help"],
+        ["help", "config_error", "no_config", "sweep", "unknown_command", "report"],
+    ],
+)
+def test_shared_parser_carries_nothing_between_calls(parser_calls, capsys, monkeypatch, order):
+    calls, fresh = parser_calls
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the width of a fresh process
+    for name in order:
+        try:
+            code = main(calls[name])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh[name], name
+    assert [fresh[name][0] for name in calls] == [0, 2, 2, 0, 2, 0]
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    # argparse looks its own class up by name, so the count wraps __init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = write_json(tmp_path, "cfg.json", dict(base_config(), checks=["corona"]))
+    for k in range(50):
+        if k % 5:
+            assert main(["report", "--config", cfg]) == 0
+        else:
+            with pytest.raises(SystemExit):
+                main(["report"])
+    assert built == []
+    # the wrapper does see a build: the parser and its two subparsers
+    cli._build_parser()
+    assert len(built) == 3
