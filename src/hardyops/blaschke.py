@@ -83,6 +83,31 @@ class BlaschkeProduct:
         return len(self.zeros)
 
     @cached_property
+    def ordered_zeros(self) -> tuple:
+        """The zeros ordered by (modulus, argument), the order of every
+        Takenaka-Malmquist basis of this product; sorted once per product."""
+        return tuple(sorted(self.zeros, key=lambda z: (abs(z), np.angle(z))))
+
+    @cached_property
+    def tm_shift(self) -> np.ndarray:
+        """The compressed shift S_I in the Takenaka-Malmquist basis of the
+        ordered zeros (`_tm_shift`), built once per product and read-only."""
+        S = _tm_shift(self.ordered_zeros)
+        S.flags.writeable = False
+        return S
+
+    @cached_property
+    def tm_kernel(self) -> np.ndarray:
+        """Takenaka-Malmquist coordinates of k_0 = P_I 1: coordinate k is
+        sqrt(1-|lambda_k|^2) * prod_{j<k} (-conj(lambda_j)) in the ordered
+        zeros.  Built once per product and read-only."""
+        lam = np.asarray(self.ordered_zeros, dtype=complex)
+        run = np.cumprod(np.concatenate(([1.0], -np.conj(lam[:-1]))))
+        k0 = np.sqrt(1.0 - np.abs(lam) ** 2) * run
+        k0.flags.writeable = False
+        return k0
+
+    @cached_property
     def sup_data(self) -> tuple:
         """(c * Pz, Q, the roots of Q, I on SUP_POINTS) for I = c * Pz / Q,
         computed once per product: every Bezout solve on this inner reads
@@ -128,7 +153,26 @@ class BlaschkeProduct:
 
 def sorted_zeros(inner: BlaschkeProduct) -> tuple:
     """Zeros ordered by (modulus, argument) so bases are reproducible."""
-    return tuple(sorted(inner.zeros, key=lambda z: (abs(z), np.angle(z))))
+    return inner.ordered_zeros
+
+
+def _tm_shift(zeros) -> np.ndarray:
+    """S_I in the Takenaka-Malmquist basis of `zeros`, taken in order.
+
+    Diagonal entry i is lambda_i; below it, entry (i, j) is
+    sqrt(1-|lambda_i|^2) * sqrt(1-|lambda_j|^2) * prod_{j<l<i} (-conj(lambda_l)).
+    """
+    lam = np.asarray(zeros, dtype=complex)
+    n = len(lam)
+    w = np.sqrt(1.0 - np.abs(lam) ** 2)
+    # factor (i, j) is -conj(lambda_{i-1}) for i > j + 1 and 1 elsewhere, so
+    # the running products down each column are the products above
+    prev = np.empty(n, dtype=complex)
+    prev[1:] = -np.conj(lam[:-1])
+    factors = np.where(np.tri(n, k=-2, dtype=bool), prev[:, None], 1.0 + 0j)
+    S = np.tril(np.outer(w, w) * np.cumprod(factors, axis=0), -1)
+    S[np.diag_indices(n)] = lam
+    return S
 
 
 def blaschke_make(zeros, constant: complex = 1.0) -> BlaschkeProduct:

@@ -7,7 +7,8 @@ significant digits.  Identical configs produce byte-identical artifacts;
 randomized checks draw from a generator seeded by the config.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure; a
-report also exits 3 when a defect it prints exceeds its printed tolerance.
+report also exits 3 when a defect it prints exceeds its printed tolerance,
+and when a check's entry would hold a number that is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, blaschke_eval, sorted_zeros
+from .blaschke import BlaschkeProduct, as_poly, blaschke_eval
 from .corona import (
     BEZOUT_TOL,
     ZERO_TOL,
@@ -30,16 +32,22 @@ from .corona import (
     min_abs_at_zeros,
     near_degenerate_probe,
 )
-from .errors import CommonZeroError, ConfigError, HardyOpsError, IllConditionedError
+from .errors import (
+    CommonZeroError,
+    ConfigError,
+    HardyOpsError,
+    IllConditionedError,
+    NonFiniteError,
+)
 from .hardy import DEFAULT_N, HardyParams
 from .model_space import _tm_rows, clark_rule
 from .operators import (
     RECOVERY_TOL,
     _poly_of_matrix,
-    _tm_shift,
+    _powers,
+    _poly_stack,
     adjoint_defect,
     symbol_recover,
-    tm_compression,
     tm_project,
 )
 
@@ -107,6 +115,28 @@ class RunConfig:
     def delta(self) -> float:
         """corona_delta of (symbol, inner), computed at most once per run."""
         return corona_delta(self.symbol, self.inner)
+
+    @cached_property
+    def symbol_matrix(self) -> np.ndarray:
+        """a(S_I) for the config symbol a, built at most once per run:
+        `compressed` reads its adjoint, `adjoint` its closed side and
+        `commutant` its row 0.  A matrix that overflows raises
+        NonFiniteError in each check that reads it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = _poly_of_matrix(self.symbol, self.inner.tm_shift)
+        if not np.all(np.isfinite(A)):
+            raise NonFiniteError("a(S_I) overflows: the symbol's coefficients are too large")
+        return A
+
+    @cached_property
+    def clark(self) -> tuple:
+        """(nodes, weights, e_k at the nodes) of one `clark_rule` of
+        z^extra * I, built at most once per run for every selected check
+        that pairs on one; extra is the largest need among them
+        (_CLARK_EXTRA)."""
+        extra = max(need(self) for name, need in _CLARK_EXTRA.items() if name in self.checks)
+        nodes, weights = clark_rule(self.inner, extra=extra)
+        return nodes, weights, _tm_rows(self.inner, nodes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,9 +255,10 @@ def _check_bezout(config: RunConfig) -> dict:
 
 
 def _check_compressed(config: RunConfig) -> dict:
-    M = tm_compression(config.inner, coanalytic=config.symbol)
-    sv = M.singular_values()
-    ev = M.eigenvalues()
+    # a(S_I)^* as `tm_compression` sums it, with a zero analytic part
+    M = 0.0 + config.symbol_matrix.conj().T
+    sv = np.linalg.svd(M, compute_uv=False)
+    ev = np.linalg.eigvals(M)
     return {
         "sigma_min": float(sv[-1]),
         "singular_values": [float(s) for s in sv],
@@ -238,16 +269,21 @@ def _check_compressed(config: RunConfig) -> dict:
 
 def _check_commutant(config: RunConfig) -> dict:
     """Recover the symbols of a(S_I) and of n - 1 seeded combinations of
-    I, S_I, ..., S_I^(n-1) in one batched pass; the commutant has
-    dimension n because k_0 is cyclic, with the Newton matrix's condition
-    number as the margin."""
+    I, S_I, ..., S_I^(n-1) in one batched `symbol_recover` pass; the
+    commutant has dimension n because k_0 is cyclic, with the Newton
+    matrix's condition number as the margin.
+
+    Row 0 is the run's shared a(S_I).  One stack of the powers S_I^j,
+    j < n, builds the n - 1 combinations by one tensordot and serves both
+    of `symbol_recover`'s rebuilds, so the check costs O(n^4).
+    """
     inner = config.inner
     n = inner.degree
     rng = np.random.default_rng(config.seed)
     combos = rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
-    S = _tm_shift(sorted_zeros(inner))
-    mats = np.concatenate(([_poly_of_matrix(config.symbol, S)], _poly_of_matrix(combos, S)))
-    coeffs, residuals, condition = symbol_recover(inner, mats)
+    powers = _powers(inner.tm_shift)
+    mats = np.concatenate(([config.symbol_matrix], _poly_stack(combos, powers)))
+    coeffs, residuals, condition = symbol_recover(inner, mats, powers)
     return {
         "dimension": n,
         "cyclicity_condition": condition,
@@ -257,7 +293,9 @@ def _check_commutant(config: RunConfig) -> dict:
 
 
 def _check_adjoint(config: RunConfig) -> dict:
-    defect = adjoint_defect(config.inner, config.symbol)
+    """The adjoint defect of a(S_I) on the run's shared a(S_I) and Clark
+    rule, which is also the projection check's when both run."""
+    defect = adjoint_defect(config.inner, config.symbol, config.symbol_matrix, config.clark)
     return {"defect": defect, "p": config.params.p, "q": config.params.q}
 
 
@@ -265,11 +303,12 @@ def _check_projection(config: RunConfig) -> dict:
     """P_I f in closed form, f(S_I) k_0 from `tm_project`, checked by exact
     pairings for seeded random polynomials f and h of degree 12.
 
-    The pairings sum over the n + 13 points of `clark_rule(inner,
-    extra=13)`, which are exact on K_{z^13 I}: that space holds f, I * h
-    and every e_k.  For the coordinates c of P_I f, the idempotence defect
-    is the norm over j of <P_I f, e_j> - c_j, the complement defect that
-    of <f - P_I f, e_j>, and the annihilator defect |<I * h, P_I f>|, each
+    The pairings sum over the run's shared Clark rule: the n + 13 points
+    of `clark_rule(inner, extra=13)`, or more when the adjoint check needs
+    more, which are exact on K_{z^13 I}: that space holds f, I * h and
+    every e_k.  For the coordinates c of P_I f, the idempotence defect is
+    the norm over j of <P_I f, e_j> - c_j, the complement defect that of
+    <f - P_I f, e_j>, and the annihilator defect |<I * h, P_I f>|, each
     relative to max(1, ||f||).  No grid enters.
     """
     inner = config.inner
@@ -279,8 +318,7 @@ def _check_projection(config: RunConfig) -> dict:
     f, h = np.moveaxis(draws[:, :, 0] + 1j * draws[:, :, 1], 1, 0)
     scale = np.maximum(1.0, np.linalg.norm(f, axis=-1))
     c = tm_project(inner, f)
-    nodes, weights = clark_rule(inner, extra=_PROJECTION_DEGREE + 1)
-    e = _tm_rows(inner, nodes)
+    nodes, weights, e = config.clark
     pf = c @ e
     f_vals = np.polynomial.polynomial.polyval(nodes, f.T)
     ih_vals = blaschke_eval(inner, nodes) * np.polynomial.polynomial.polyval(nodes, h.T)
@@ -295,6 +333,15 @@ def _check_projection(config: RunConfig) -> dict:
         "complement_defect": float(complement.max()),
         "annihilator_defect": float(annihilator.max()),
     }
+
+
+#: The `extra` of the shared Clark rule each pairing check needs: deg(a)
+#: for `adjoint`, and 13 for `projection`, whose degree-12 f, I * h and
+#: e_k lie in K_{z^13 I}.
+_CLARK_EXTRA = {
+    "adjoint": lambda config: len(as_poly(config.symbol)) - 1,
+    "projection": lambda config: _PROJECTION_DEGREE + 1,
+}
 
 
 #: Report checks in canonical order: name -> (check, gated keys, tolerance
@@ -315,8 +362,37 @@ CHECKS = {
 }
 
 
+def _non_finite(value, path: str):
+    """The path of the first number in `value` that is NaN or infinite, in
+    the order the report prints it, or None.  A list that numpy reads as an
+    array of finite floats holds no such number and is passed over whole,
+    which spares the walk over its entries; any other list is walked."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        try:
+            if np.all(np.isfinite(np.asarray(value, dtype=float))):
+                return None
+        except (TypeError, ValueError, OverflowError):
+            pass
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for where, v in items:
+        found = _non_finite(v, where)
+        if found is not None:
+            return found
+    return None
+
+
 def run_report(config: RunConfig) -> tuple[dict, bool]:
-    """Execute the selected checks; returns (document, numerical_failure)."""
+    """Execute the selected checks; returns (document, numerical_failure).
+
+    A check that raises, or whose entry holds a number that is NaN or
+    infinite, becomes an error entry and a numerical failure; the second
+    kind names the check and the key."""
     doc = {
         "schema": SCHEMA_VERSION,
         "config": config.to_json_dict(),
@@ -328,6 +404,9 @@ def run_report(config: RunConfig) -> tuple[dict, bool]:
         check, keys, tol = CHECKS[name]
         try:
             entry = check(config)
+            where = _non_finite(entry, "")
+            if where is not None:
+                raise NonFiniteError(f"{name} check: {where} is not a finite number")
         except HardyOpsError as exc:
             entry = {"error": type(exc).__name__, "message": str(exc)}
             failure = True
@@ -338,7 +417,54 @@ def run_report(config: RunConfig) -> tuple[dict, bool]:
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)` plus a
+    final newline, byte for byte, written without the pure-Python indent
+    encoder: strings by the C `encode_basestring_ascii`, numbers by
+    `int.__repr__` and `float.__repr__`.  NaN and infinities raise
+    ValueError, any other type than the JSON ones TypeError."""
+    parts = []
+    _write_json(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, parts: list, newline: str) -> None:
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        parts.append(float.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, dict):
+            open_, close = "{", "}"
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts.append(open_ + inner + encode_basestring_ascii(key) + ": ")
+                _write_json(value[key], parts, inner)
+                open_ = ","
+        else:
+            open_, close = "[", "]"
+            for item in value:
+                parts.append(open_ + inner)
+                _write_json(item, parts, inner)
+                open_ = ","
+        parts.append(newline + close)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _csv(header, rows) -> str:
@@ -383,9 +509,8 @@ def run_sweep(config: RunConfig, family) -> str:
         symbols = np.array([[-(base + t), 1.0] for t in offsets])
         if not np.all(np.isfinite(symbols)):
             raise ConfigError("family zero + offset overflows")
-        # every row's a(S_I)^*, as tm_compression builds it, in one stacked SVD
-        S = _tm_shift(sorted_zeros(inner))
-        adjoints = _poly_of_matrix(symbols, S).conj().swapaxes(-1, -2)
+        # every row's a(S_I)^* in one stacked SVD
+        adjoints = _poly_of_matrix(symbols, inner.tm_shift).conj().swapaxes(-1, -2)
         sigmas = np.linalg.svd(adjoints, compute_uv=False)[:, -1]
         # every row's delta and Bezout pair from one stacked call each
         certs = bezout_solve(symbols, inner)

@@ -37,6 +37,11 @@ class IllConditionedError(HardyOpsError):
     """A numerical residual exceeded its acceptance threshold."""
 
 
+class NonFiniteError(HardyOpsError):
+    """A computation overflowed: a number it produced or must return is NaN
+    or infinite."""
+
+
 class CommutationError(HardyOpsError):
     """A matrix expected to commute with the compressed shift does not."""
 

@@ -96,10 +96,9 @@ def tm_eval(inner: BlaschkeProduct, coords, points) -> np.ndarray:
 
     e_k is the k-th Takenaka-Malmquist function of the ordered zeros,
     sqrt(1-|lambda_k|^2)/(1 - conj(lambda_k) z) * prod_{j<k} b_{lambda_j}(z),
-    evaluated from this product formula with no grid or FFT.  `coords` has
-    the dimension as its first axis; further axes evaluate several elements
-    at once and come first in the result, whose shape is
-    coords.shape[1:] + points.shape.
+    taken from `_tm_rows` with no grid or FFT.  `coords` has the dimension
+    as its first axis; further axes evaluate several elements at once and
+    come first in the result, whose shape is coords.shape[1:] + points.shape.
     """
     pts = np.asarray(points, dtype=complex)
     coords = np.asarray(coords, dtype=complex)
@@ -109,27 +108,30 @@ def tm_eval(inner: BlaschkeProduct, coords, points) -> np.ndarray:
         )
     flat = coords.reshape(inner.degree, -1)
     out = np.zeros(flat.shape[1:] + pts.shape, dtype=complex)
-    partial = np.ones_like(pts)
-    for zk, ck in zip(sorted_zeros(inner), flat):
-        den = 1.0 - np.conj(zk) * pts
+    for ck, row in zip(flat, _tm_rows(inner, pts)):
         # zero coordinates add nothing, so identity coordinates cost O(n * m)
         used = np.flatnonzero(ck)
-        out[used] += np.multiply.outer(ck[used], np.sqrt(1.0 - abs(zk) ** 2) / den * partial)
-        partial = partial * (pts - zk) / den
+        out[used] += np.multiply.outer(ck[used], row)
     return out.reshape(coords.shape[1:] + pts.shape)
 
 
 def _tm_rows(inner: BlaschkeProduct, points) -> np.ndarray:
-    """e_0, ..., e_(n-1) at `points` as the rows of one array: `tm_eval` of
-    the identity coordinates, taken straight from its product loop."""
+    """e_0, ..., e_(n-1) at `points` as the rows of one array, from the
+    product formula of `tm_eval`.  Only the running product
+    prod_{j<k} b_{lambda_j} is taken zero by zero; the denominators and
+    the normalized kernels are one array operation each."""
     pts = np.asarray(points, dtype=complex)
-    out = np.empty((inner.degree,) + pts.shape, dtype=complex)
+    lam = sorted_zeros(inner)
+    den = 1.0 - np.multiply.outer(np.conj(lam), pts)
+    out = np.empty(den.shape, dtype=complex)
     partial = np.ones_like(pts)
-    for k, zk in enumerate(sorted_zeros(inner)):
-        den = 1.0 - np.conj(zk) * pts
-        out[k] = np.sqrt(1.0 - abs(zk) ** 2) / den * partial
-        partial = partial * (pts - zk) / den
-    return out
+    for k, zk in enumerate(lam):
+        out[k] = partial
+        partial = partial * (pts - zk) / den[k]
+    # in Python floats zero by zero, as the rows have always been rounded
+    scale = np.array([np.sqrt(1.0 - abs(zk) ** 2) for zk in lam])
+    scale = scale.reshape(scale.shape + (1,) * pts.ndim)
+    return np.multiply(np.divide(scale, den, out=den), out, out=out)
 
 
 def _clark_phase(zeros, power: int, count: int, theta: np.ndarray):
@@ -278,17 +280,15 @@ def clark_rule(inner: BlaschkeProduct, power: int = 1, extra: int = 0):
 
 def tm_kernel_at_zero(inner: BlaschkeProduct) -> np.ndarray:
     """Takenaka-Malmquist coordinates of k_0 = P_I 1, the reproducing kernel
-    of the model space at 0.
+    of the model space at 0, as a new array.
 
     Coordinate k is <1, e_k> = conj(e_k(0)) =
     sqrt(1-|lambda_k|^2) * prod_{j<k} (-conj(lambda_j)) in the ordered
-    zeros, a closed form with no grid.  Since P_I(z * P_I g) = P_I(z * g),
-    the coordinates of P_I f are f(S_I) applied to these for every
-    polynomial f.
+    zeros, a closed form with no grid (`BlaschkeProduct.tm_kernel`).
+    Since P_I(z * P_I g) = P_I(z * g), the coordinates of P_I f are f(S_I)
+    applied to these for every polynomial f.
     """
-    lam = np.asarray(sorted_zeros(inner), dtype=complex)
-    run = np.cumprod(np.concatenate(([1.0], -np.conj(lam[:-1]))))
-    return np.sqrt(1.0 - np.abs(lam) ** 2) * run
+    return inner.tm_kernel.copy()
 
 
 def tm_basis(inner: BlaschkeProduct, params, grid: CircleGrid | None = None) -> ModelSpaceBasis:

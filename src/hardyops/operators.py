@@ -15,7 +15,10 @@ phi_plus + conj(phi_minus) is phi_plus(S_I) + phi_minus(S_I)^*, which
 Sarason's theorem the commutant of S_I is the set of compressed analytic
 Toeplitz operators phi(S_I), and the kernel k_0 = P_I 1 is cyclic for
 S_I, so `symbol_recover` reads phi off T k_0 with one triangular solve in
-the Newton basis of the ordered zeros; neither p nor a grid enters.
+the Newton basis of the ordered zeros, and rebuilds phi(S_I) for its
+residual from one stack of the powers S_I^j, j < n (`_powers`); neither
+p nor a grid enters.  S_I and k_0 are the product's own
+(`BlaschkeProduct.tm_shift`, `.tm_kernel`), built once per product.
 `adjoint_defect` checks phi(S_I) against pairings on the n + deg(phi)
 Clark points of z^deg(phi) * I (`clark_rule`), a quadrature that is exact
 on that model space and takes only the zeros from I.  The FFT route,
@@ -30,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, as_poly, inner_outer_of_polynomial, sorted_zeros
+from .blaschke import BlaschkeProduct, as_poly, inner_outer_of_polynomial
 from .errors import (
     CommutationError,
     GridMismatchError,
     IllConditionedError,
+    NonFiniteError,
     TrivialInnerError,
 )
 from .hardy import (
@@ -55,7 +59,6 @@ from .model_space import (
     clark_rule,
     expand,
     tm_basis,
-    tm_kernel_at_zero,
 )
 
 #: Default truncation for Hankel matrices: domain monomials 0..K, codomain
@@ -67,6 +70,10 @@ COMMUTATION_TOL = 1e-8
 
 #: Relative residual allowed when matching a commuting matrix to a symbol.
 RECOVERY_TOL = 1e-7
+
+#: Most values (matrices times n^2 entries) in one temporary of the
+#: stacked commutation and misfit passes of `symbol_recover`.
+_STACK_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,32 +185,13 @@ def compressed_matrix(
     return OperatorMatrix(entries, basis, basis)
 
 
-def _tm_shift(zeros) -> np.ndarray:
-    """S_I in the Takenaka-Malmquist basis of `zeros`, taken in order.
-
-    Diagonal entry i is lambda_i; below it, entry (i, j) is
-    sqrt(1-|lambda_i|^2) * sqrt(1-|lambda_j|^2) * prod_{j<l<i} (-conj(lambda_l)).
-    """
-    lam = np.asarray(zeros, dtype=complex)
-    n = len(lam)
-    w = np.sqrt(1.0 - np.abs(lam) ** 2)
-    # factor (i, j) is -conj(lambda_{i-1}) for i > j + 1 and 1 elsewhere, so
-    # the running products down each column are the products above
-    prev = np.empty(n, dtype=complex)
-    prev[1:] = -np.conj(lam[:-1])
-    factors = np.where(np.tri(n, k=-2, dtype=bool), prev[:, None], 1.0 + 0j)
-    S = np.tril(np.outer(w, w) * np.cumprod(factors, axis=0), -1)
-    S[np.diag_indices(n)] = lam
-    return S
-
-
 def compressed_shift(inner: BlaschkeProduct, basis: ModelSpaceBasis) -> OperatorMatrix:
     """Compression of multiplication by z in a Takenaka-Malmquist basis of
     `inner`, in closed form from the ordered zeros with no grid
     (`compressed_matrix` is its cross-check); other bases raise ValueError."""
     if basis.kind != TM_KIND or basis.inner != inner:
         raise ValueError(f"closed-form shift needs a {TM_KIND} basis of this inner function")
-    return OperatorMatrix(_tm_shift(sorted_zeros(inner)), basis, basis)
+    return OperatorMatrix(inner.tm_shift, basis, basis)
 
 
 def _tm_label(inner: BlaschkeProduct) -> str:
@@ -213,13 +201,36 @@ def _tm_label(inner: BlaschkeProduct) -> str:
 
 def _poly_of_matrix(coeffs, S: np.ndarray) -> np.ndarray:
     """a(S) for ascending coefficients along the last axis, by Horner's
-    rule; leading axes of `coeffs` evaluate a stack of polynomials."""
+    rule; leading axes of `coeffs` evaluate a stack of polynomials.  Each
+    coefficient costs one product with S per polynomial, so this serves
+    low degrees; `_powers` and `_poly_stack` serve n polynomials of degree
+    below n."""
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     out = np.zeros(coeffs.shape[:-1] + S.shape, dtype=complex)
     eye = np.eye(S.shape[0], dtype=complex)
     for c in np.moveaxis(coeffs, -1, 0)[::-1]:
         out = out @ S + c[..., None, None] * eye
     return out
+
+
+def _powers(S: np.ndarray) -> np.ndarray:
+    """S^0, S^1, ..., S^(n-1) for the n x n matrix S, stacked along a new
+    first axis: n - 1 matrix products, O(n^4), and n^3 values."""
+    n = S.shape[0]
+    out = np.empty((n, n, n), dtype=complex)
+    out[:1] = np.eye(n)
+    for j in range(1, n):
+        np.matmul(out[j - 1], S, out=out[j])
+    return out
+
+
+def _poly_stack(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """phi(S) = sum_j c_j S^j for each row of ascending coefficients in the
+    2-D `coeffs`, with at most n per row, from the stack `_powers(S)`: one
+    tensordot, taken as a product with the stack flattened to n x n^2, so
+    O(n) per entry of the result."""
+    count, n = coeffs.shape[-1], powers.shape[-1]
+    return (coeffs @ powers[:count].reshape(count, n * n)).reshape(-1, n, n)
 
 
 def tm_compression(inner: BlaschkeProduct, analytic=(), coanalytic=()) -> OperatorMatrix:
@@ -234,7 +245,7 @@ def tm_compression(inner: BlaschkeProduct, analytic=(), coanalytic=()) -> Operat
     """
     if inner.degree < 1:
         raise ValueError("inner function must have degree >= 1")
-    S = _tm_shift(sorted_zeros(inner))
+    S = inner.tm_shift
     entries = _poly_of_matrix(analytic, S) + _poly_of_matrix(coanalytic, S).conj().T
     return OperatorMatrix(entries, _tm_label(inner), _tm_label(inner))
 
@@ -252,8 +263,8 @@ def tm_project(inner: BlaschkeProduct, coeffs) -> np.ndarray:
     if inner.degree < 1:
         raise ValueError("inner function must have degree >= 1")
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    S_t = _tm_shift(sorted_zeros(inner)).T
-    k0 = tm_kernel_at_zero(inner)
+    S_t = inner.tm_shift.T
+    k0 = inner.tm_kernel
     out = np.zeros(coeffs.shape[:-1] + k0.shape, dtype=complex)
     for c in np.moveaxis(coeffs, -1, 0)[::-1]:
         out = out @ S_t + c[..., None] * k0
@@ -387,7 +398,31 @@ def _newton_solve(K: np.ndarray, N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return newton @ N.T
 
 
-def symbol_recover(inner: BlaschkeProduct, T) -> tuple[np.ndarray, np.ndarray, float]:
+def _row_blocks(rows: int, n: int):
+    """Slices of at most _STACK_BLOCK // n^2 (at least one) of `rows`
+    stacked n x n matrices."""
+    step = max(1, _STACK_BLOCK // max(n * n, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _misfits(stack, coeffs, powers, scale, k0):
+    """||T - phi(S_I)||_F / s for each matrix T of `stack` with its phi's
+    coefficients and its scale s, and (T - phi(S_I)) k_0, taken block by
+    block from `_poly_stack`.  Under a product that overflows the first
+    result holds NaN or inf; the scaling keeps the norms themselves from
+    overflowing."""
+    norms = np.empty(len(stack))
+    images = np.empty((len(stack), stack.shape[-1]), dtype=complex)
+    for rows in _row_blocks(*stack.shape[:2]):
+        misfit = _poly_stack(coeffs[rows], powers)
+        np.subtract(stack[rows], misfit, out=misfit)
+        images[rows] = misfit @ k0
+        misfit /= scale[rows, None, None]
+        norms[rows] = np.linalg.norm(misfit, axis=(1, 2))
+    return norms, images
+
+
+def symbol_recover(inner: BlaschkeProduct, T, powers=None) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascending coefficients of phi, of degree < n, with phi(S_I) = T in the
     Takenaka-Malmquist basis, their relative residual
     ||phi(S_I) - T||_F / max(1, ||T||_F), and cond_2(K) for the Newton
@@ -402,39 +437,69 @@ def symbol_recover(inner: BlaschkeProduct, T) -> tuple[np.ndarray, np.ndarray, f
     lower triangular gives phi's Newton coefficients c, which are converted
     to monomial ones.  The residual of those returned coefficients must
     stay below RECOVERY_TOL; cond_2(K) is the margin of k_0's cyclicity.
-    S_I and K are built once per call, whatever the stack size.
+
+    S_I and k_0 are the product's own; K and the stack `powers` of
+    S_I^j, j < n (`_powers`, built here unless the caller already holds
+    it), are built once per call, whatever the stack size.  Every phi(S_I)
+    the residuals need is one tensordot with that stack, O(n^4) for n
+    matrices, taken in blocks of at most _STACK_BLOCK values.  The norms
+    of each matrix are taken relative to its largest entry, so that they
+    cannot overflow; a matrix that is not finite, or a phi(S_I) that
+    overflows, raises NonFiniteError.
     """
-    S = _tm_shift(sorted_zeros(inner))
+    S = inner.tm_shift
     n = S.shape[0]
     T = np.asarray(getattr(T, "entries", T), dtype=complex)
     if T.ndim < 2 or T.shape[-2:] != (n, n):
         raise ValueError(f"matrix of shape {T.shape} for a space of dimension {n}")
     stack = T.reshape(-1, n, n)
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    excess = np.abs(stack @ S - S @ stack).max(axis=(1, 2)) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    if not np.all(np.isfinite(scale)):
+        raise NonFiniteError(
+            f"{np.sum(~np.isfinite(scale))} of {len(stack)} matrices hold entries that are "
+            "not finite numbers"
+        )
+    excess, sizes = np.empty(len(stack)), np.empty(len(stack))
+    for rows in _row_blocks(len(stack), n):
+        unit = stack[rows] / scale[rows, None, None]
+        sizes[rows] = np.linalg.norm(unit, axis=(1, 2))
+        commutator = unit @ S
+        commutator -= S @ unit
+        excess[rows] = np.abs(commutator).max(axis=(1, 2))
     failed = ~(excess <= COMMUTATION_TOL)
     if failed.any():
         raise CommutationError(
             f"{failed.sum()} of {len(stack)} matrices do not commute with the compressed "
             f"shift (relative residual {excess.max():.3e} > {COMMUTATION_TOL:.1e})"
         )
-    k0 = tm_kernel_at_zero(inner)
+    if powers is None:
+        powers = _powers(S)
+    elif powers.shape != (n, n, n):
+        raise ValueError(f"power stack of shape {powers.shape} for a space of dimension {n}")
+    k0 = inner.tm_kernel
     K, N = _newton_matrix(S, k0)
-    coeffs = _newton_solve(K, N, stack @ k0)
-    misfit = stack - _poly_of_matrix(coeffs, S)
     # One step of iterative refinement: at clustered zeros the conversion to
     # monomial coefficients leaves a residual near cond(K) * eps, which the
     # step brings back to rounding level.  Once cond(K) passes 1/eps the
     # step has nothing left to correct, so each matrix keeps whichever
-    # coefficients fit it better.
-    refined = coeffs + _newton_solve(K, N, misfit @ k0)
-    misfits = np.linalg.norm(misfit, axis=(1, 2))
-    refined_misfits = np.linalg.norm(stack - _poly_of_matrix(refined, S), axis=(1, 2))
+    # coefficients fit it better.  An overflow shows up as a misfit that is
+    # not finite, so it raises below rather than warns here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _newton_solve(K, N, stack @ k0)
+        misfits, images = _misfits(stack, coeffs, powers, scale, k0)
+        refined = coeffs + _newton_solve(K, N, images)
+        refined_misfits, _ = _misfits(stack, refined, powers, scale, k0)
+    overflow = ~np.isfinite(misfits)
+    if overflow.any():
+        raise NonFiniteError(
+            f"symbol recovery overflows: phi(S_I) from the recovered coefficients is not "
+            f"finite for {overflow.sum()} of {len(stack)} matrices (largest entry "
+            f"{scale.max():.3e})"
+        )
     better = refined_misfits < misfits
     coeffs = np.where(better[:, None], refined, coeffs)
-    residuals = np.where(better, refined_misfits, misfits) / np.maximum(
-        1.0, np.linalg.norm(stack, axis=(1, 2))
-    )
+    residuals = np.where(better, refined_misfits, misfits) / np.maximum(1.0 / scale, sizes)
     if not residuals.max() <= RECOVERY_TOL:
         raise IllConditionedError(
             f"symbol recovery residual {residuals.max():.3e} exceeds {RECOVERY_TOL:.1e}"
@@ -446,9 +511,9 @@ def symbol_recover(inner: BlaschkeProduct, T) -> tuple[np.ndarray, np.ndarray, f
     )
 
 
-def adjoint_defect(inner: BlaschkeProduct, symbol_coeffs) -> float:
-    """Largest mismatch between <P_I(phi e_k), e_j> = phi(S_I)[j, k] from
-    `tm_compression` and the Clark-rule pairing
+def adjoint_defect(inner: BlaschkeProduct, symbol_coeffs, closed=None, rule=None) -> float:
+    """Largest mismatch between <P_I(phi e_k), e_j> = phi(S_I)[j, k] in
+    closed form and the Clark-rule pairing
     sum_zeta w * phi(zeta) * e_k(zeta) * conj(e_j(zeta)) over the
     Takenaka-Malmquist basis; the two routes share only the ordered zeros.
 
@@ -458,13 +523,31 @@ def adjoint_defect(inner: BlaschkeProduct, symbol_coeffs) -> float:
     z^deg(phi) * I, the sum is the pairing itself, not an approximation of
     it, and its rounding error grows like eps / (1 - max |lambda_k|).  No
     grid and no p enter: as a set the model space does not depend on p.
+
+    A caller that already holds them passes phi(S_I) as `closed` and a
+    rule as `rule` = (nodes, weights, `_tm_rows` at the nodes).  That rule
+    may have any extra >= deg(phi), as a report's rule shared with the
+    projection check does: K_{z^extra I} contains K_{z^deg(phi) I}, so the
+    sum stays exact, and only its rounding changes.  A rule with fewer
+    than n + deg(phi) nodes raises ValueError.  A symbol whose values
+    overflow on the rule gives a defect that is not finite.
     """
     poly = as_poly(symbol_coeffs)
-    closed = tm_compression(inner, analytic=poly).entries
-    nodes, weights = clark_rule(inner, extra=len(poly) - 1)
-    e = _tm_rows(inner, nodes)
-    quad = e.conj() @ (weights * np.polynomial.polynomial.polyval(nodes, poly) * e).T
-    return float(np.abs(closed - quad).max())
+    degree = len(poly) - 1
+    if rule is None:
+        nodes, weights = clark_rule(inner, extra=degree)
+        rule = nodes, weights, _tm_rows(inner, nodes)
+    nodes, weights, e = rule
+    if len(nodes) < inner.degree + degree:
+        raise ValueError(
+            f"a Clark rule of {len(nodes)} nodes cannot pair a degree-{degree} symbol "
+            f"exactly on a model space of dimension {inner.degree}"
+        )
+    if closed is None:
+        closed = _poly_of_matrix(poly, inner.tm_shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = e.conj() @ (weights * np.polynomial.polynomial.polyval(nodes, poly) * e).T
+        return float(np.abs(closed - quad).max())
 
 
 def coanalytic_kernel_check(symbol_coeffs, grid: CircleGrid | None = None) -> float:

@@ -16,6 +16,17 @@ def random_zeros(rng, count, radius=0.9):
     return r * np.exp(1j * theta)
 
 
+def separated_zeros(rng, count, radius, separation):
+    """Points drawn one by one over the disc of the given radius, each kept
+    only when it lies at least `separation` from those kept before."""
+    zeros = []
+    while len(zeros) < count:
+        z = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        if all(abs(z - w) >= separation for w in zeros):
+            zeros.append(z)
+    return np.array(zeros)
+
+
 def random_blaschke(rng, max_degree=5, radius=0.9):
     degree = int(rng.integers(1, max_degree + 1))
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))

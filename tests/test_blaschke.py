@@ -20,6 +20,7 @@ from hardyops import (
     pairing,
     unnormalized_kernel,
 )
+from hardyops.blaschke import _tm_shift, sorted_zeros
 
 P = np.polynomial.polynomial
 
@@ -230,3 +231,20 @@ def test_zero_ordering_in_numerator():
     inner = random_blaschke(rng, max_degree=5, radius=0.8)
     roots = np.sort_complex(P.polyroots(inner.numerator()))
     np.testing.assert_allclose(roots, np.sort_complex(np.array(inner.zeros)), atol=1e-8)
+
+
+def test_per_product_closed_forms_are_read_only_and_per_product():
+    zeros = [0.5, -0.3 + 0.4j, 0.1, 0.5]
+    a, b = blaschke_make(zeros), blaschke_make(zeros)
+    assert a == b and hash(a) == hash(b)
+    assert a.ordered_zeros == sorted_zeros(a) == (0.1, 0.5, 0.5, -0.3 + 0.4j)
+    for name in ("tm_shift", "tm_kernel"):
+        mine, theirs = getattr(a, name), getattr(b, name)
+        assert getattr(a, name) is mine  # built once per product
+        np.testing.assert_array_equal(mine, theirs)
+        assert not np.shares_memory(mine, theirs)  # nothing is keyed by value
+        assert not mine.flags.writeable
+        with pytest.raises(ValueError):
+            mine[0] = 7.0
+    np.testing.assert_array_equal(a.tm_shift, _tm_shift(a.ordered_zeros))
+

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_zeros
+from conftest import random_zeros, separated_zeros
 
 import hardyops
 from hardyops import ConfigError, IllConditionedError
@@ -469,22 +469,13 @@ def _commutant_report(tmp_path, zeros, symbol=(-0.7, 1.0), seed=7):
     return code, doc, json.loads(out.read_text(encoding="utf-8"))["checks"]["commutant"]
 
 
-def _separated_zeros(rng, count, radius, separation):
-    zeros = []
-    while len(zeros) < count:
-        z = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        if all(abs(z - w) >= separation for w in zeros):
-            zeros.append(z)
-    return np.array(zeros)
-
-
 @pytest.mark.parametrize("case", ["degree_40", "tenfold_zero"])
 def test_commutant_report_large_and_clustered(tmp_path, monkeypatch, case):
     rng = np.random.default_rng(76)
     if case == "degree_40":
-        zeros = _separated_zeros(rng, 40, 0.95, 0.05)
+        zeros = separated_zeros(rng, 40, 0.95, 0.05)
     else:
-        zeros = _separated_zeros(rng, 20, 0.9, 0.0)
+        zeros = separated_zeros(rng, 20, 0.9, 0.0)
         zeros[:10] = 0.99 * np.exp(2j * np.pi * rng.uniform())
 
     def boom(*args, **kwargs):
@@ -508,7 +499,7 @@ def test_commutant_report_large_and_clustered(tmp_path, monkeypatch, case):
 @pytest.mark.parametrize("degree,seed", [(1, 0), (3, 1), (6, 2), (10, 3), (14, 4)])
 def test_commutant_symbols_reproduce_their_matrices(tmp_path, degree, seed):
     rng = np.random.default_rng([77, seed])
-    zeros = _separated_zeros(rng, degree, 0.9, 0.05)
+    zeros = separated_zeros(rng, degree, 0.9, 0.05)
     symbol = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     code, doc, entry = _commutant_report(tmp_path, zeros, symbol, seed)
     assert code == 0
@@ -988,3 +979,205 @@ def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
     # the wrapper does see a build: the parser and its two subparsers
     cli._build_parser()
     assert len(built) == 3
+
+
+# -- one closed-form pass per report ------------------------------------------
+
+
+def test_six_check_report_builds_each_closed_form_once(tmp_path, monkeypatch):
+    from hardyops import blaschke, model_space, operators
+
+    counts = {"shift": 0, "clark": 0, "powers": 0}
+    horner_rows = []
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    def horner(coeffs, S):
+        horner_rows.append(np.shape(coeffs)[:-1])
+        return real_horner(coeffs, S)
+
+    real_horner = operators._poly_of_matrix
+    monkeypatch.setattr(blaschke, "_tm_shift", counted("shift", blaschke._tm_shift))
+    monkeypatch.setattr(model_space, "_clark_solve", counted("clark", model_space._clark_solve))
+    monkeypatch.setattr(cli, "_powers", counted("powers", operators._powers))
+    monkeypatch.setattr(operators, "_powers", counted("powers", operators._powers))
+    monkeypatch.setattr(cli, "_poly_of_matrix", horner)
+    monkeypatch.setattr(operators, "_poly_of_matrix", horner)
+    doc = base_config()
+    doc["inner"] = {"zeros": [0.3, -0.5, [0.1, 0.6], [-0.2, -0.4], 0.7]}
+    doc["symbol"] = [[-0.4, 0.1], 0.0, 1.0]
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text(encoding="utf-8"))["checks"]) == set(CHECKS)
+    assert counts == {"shift": 1, "clark": 1, "powers": 1}
+    # a(S_I) alone goes through Horner's rule, once, for three checks
+    assert horner_rows == [()]
+
+
+def test_adjoint_shares_the_projection_rule(tmp_path):
+    # the shared rule of z^13 I is exact for the degree-2 symbol too, so
+    # the defect moves only at rounding level, and the projection entry
+    # is the one it prints alone
+    doc = base_config()
+    doc["inner"] = {"zeros": [0.9, [0.1, -0.6], -0.3]}
+    doc["symbol"] = [0.2, [0.5, 0.1], 1.0]
+    entries = {}
+    for checks in (["adjoint"], ["projection"], ["adjoint", "projection"]):
+        doc["checks"] = checks
+        report, failure = run_report(parse_config(doc))
+        assert not failure
+        entries[tuple(checks)] = report["checks"]
+    both = entries["adjoint", "projection"]
+    assert both["projection"] == entries["projection",]["projection"]
+    alone = entries["adjoint",]["adjoint"]["defect"]
+    assert both["adjoint"]["defect"] <= TOLERANCES["adjoint_defect"]
+    assert abs(both["adjoint"]["defect"] - alone) <= 1e-13
+
+
+@pytest.mark.parametrize("degree,seed", [(10, 0), (20, 1)])
+def test_commutant_row_0_is_the_fft_compression_of_the_symbol(tmp_path, degree, seed):
+    # row 0 of the printed symbols, rebuilt on the FFT route's own basis,
+    # reproduces the FFT compression of a: no closed form is shared
+    rng = np.random.default_rng([78, seed])
+    zeros = separated_zeros(rng, degree, 0.9, 0.05)
+    symbol = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    code, doc, entry = _commutant_report(tmp_path, zeros, symbol, seed)
+    assert code == 0
+    inner = parse_config(doc).inner
+    basis = hardyops.tm_basis(inner, 2.0)
+    row = [complex(*c) for c in entry["symbols"][0]]
+    fft = hardyops.compressed_matrix(inner, hardy.BoundaryFunction.from_poly(basis.grid, symbol), basis)
+    rebuilt = hardyops.compressed_matrix(inner, hardy.BoundaryFunction.from_poly(basis.grid, row), basis)
+    scale = np.linalg.norm(fft.entries)
+    assert np.linalg.norm(rebuilt.entries - fft.entries) <= 1e-10 * scale
+    # and it is not some other element of the commutant, such as the identity
+    assert np.linalg.norm(fft.entries - np.eye(degree)) > 0.1 * scale
+
+
+# -- non-finite numbers -----------------------------------------------------------
+
+BIG_INNER = {"zeros": [[0.5, 0.0], [0.1, 0.2]]}
+
+
+def _big_symbol_report(tmp_path, scale, checks, zeros=BIG_INNER):
+    doc = {"inner": zeros, "symbol": [[scale, 0.0]] * 3, "checks": checks}
+    out = tmp_path / "r.json"
+    code = main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8"))["checks"]
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_non_finite_entry_becomes_error(tmp_path, monkeypatch, name):
+    real = CHECKS[name][0]
+
+    def overflowing(config):
+        entry = real(config)
+        entry["zz"] = {"values": [1.0, [2.0, float("inf")]], "nan": float("nan")}
+        return entry
+
+    monkeypatch.setitem(CHECKS, name, (overflowing,) + CHECKS[name][1:])
+    doc = base_config()
+    doc["symbol"] = [0.2, 1.0]
+    doc["checks"] = ["corona", name]
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", write_json(tmp_path, "cfg.json", doc), "--out", str(out)]) == 3
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    # the first non-finite key in printed order is named
+    assert checks[name] == {
+        "error": "NonFiniteError",
+        "message": f"{name} check: zz.nan is not a finite number",
+    }
+    if name != "corona":
+        assert "error" not in checks["corona"]
+
+
+def test_non_finite_paths():
+    inf, nan = float("inf"), float("nan")
+    assert cli._non_finite({"b": [[1.0, 0.0], [2.0, inf]], "a": [None, "nan", 1]}, "") == "b[1][1]"
+    assert cli._non_finite({"a": [[1.0], [2.0, -inf]], "c": nan}, "") == "a[1][1]"
+    assert cli._non_finite([{"x": 10**400}, (True, nan)], "u") == "u[1][1]"
+    assert cli._non_finite({"a": [None, "inf", [1.0, 2.0]], "b": {"c": 1e308}}, "") is None
+
+
+@pytest.mark.parametrize(
+    "check,key", [("compressed", "singular_values[0]"), ("adjoint", "defect")]
+)
+def test_overflowing_check_exits_3_with_its_key(tmp_path, capsys, check, key):
+    code, checks = _big_symbol_report(tmp_path, 1e308, [check])
+    assert code == 3
+    assert checks[check] == {
+        "error": "NonFiniteError",
+        "message": f"{check} check: {key} is not a finite number",
+    }
+    assert capsys.readouterr().err == ""
+
+
+def test_commutant_of_large_symbols_is_judged(tmp_path, capsys):
+    # the norms of 1e200 entries overflowed and the residual printed nan;
+    # scaled by each matrix's largest entry they stay at rounding level
+    inner = parse_config({"inner": BIG_INNER, "symbol": [1.0]}).inner
+    lam0, lam1 = inner.zeros
+    for scale in (1e200, 1e308):
+        code, checks = _big_symbol_report(tmp_path, scale, ["commutant"])
+        entry = checks["commutant"]
+        assert code == 0 and "error" not in entry
+        assert max(entry["recovery_residuals"]) <= 1e-15
+        # 1 + z + z^2 reduced modulo (z - lam0)(z - lam1)
+        row = [complex(*c) / scale for c in entry["symbols"][0]]
+        np.testing.assert_allclose(row, [1 - lam0 * lam1, 1 + lam0 + lam1], rtol=1e-15)
+    assert capsys.readouterr().err == ""
+
+
+def test_overflowing_symbol_matrix_is_a_typed_error(tmp_path, capsys):
+    # a(S_I) = 1e308 (1 + S_I + S_I^2) has diagonal entries near 2.5e308
+    zeros = {"zeros": [0.9, 0.8]}
+    code, checks = _big_symbol_report(tmp_path, 1e308, ["compressed", "commutant", "adjoint"], zeros)
+    assert code == 3
+    for name in ("compressed", "commutant", "adjoint"):
+        assert checks[name]["error"] == "NonFiniteError"
+        assert "a(S_I) overflows" in checks[name]["message"]
+    assert "nan" not in json.dumps(checks).lower()
+    assert capsys.readouterr().err == ""
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _workload_configs():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [
+        (f"{name}.{seed}.{r}.{k}", item.config)
+        for name in workloads.WORKLOADS
+        for seed in (1, 2, 3)
+        for r, items in enumerate(workloads.rounds_for(name, seed))
+        for k, item in enumerate(items)
+    ]
+
+
+def test_canonical_json_matches_json_dumps_on_workload_reports():
+    configs = _workload_configs()
+    assert len(configs) == 126
+    for tag, doc in configs:
+        report, _ = run_report(parse_config(doc))
+        assert canonical_json(report) == _json_dumps(report), tag
+
+
+def test_canonical_json_refuses_non_finite_floats():
+    for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json({"a": [1.0, {"b": bad}]})
+    with pytest.raises(TypeError):
+        canonical_json({"a": np.int64(1)})

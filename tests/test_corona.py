@@ -33,10 +33,10 @@ from hardyops import (
     toeplitz_apply,
 )
 from hardyops import corona
-from hardyops.blaschke import SUP_POINTS, as_poly, sorted_zeros
+from hardyops.blaschke import SUP_POINTS, _tm_shift, as_poly, sorted_zeros
 from hardyops.hardy import p_mean
 from hardyops.model_space import _project_samples
-from hardyops.operators import _poly_of_matrix, _tm_shift
+from hardyops.operators import _poly_of_matrix
 
 P = np.polynomial.polynomial
 

@@ -9,6 +9,7 @@ from conftest import (
     random_blaschke,
     random_poly,
     random_zeros,
+    separated_zeros,
 )
 
 from hardyops import (
@@ -18,6 +19,7 @@ from hardyops import (
     GridMismatchError,
     IllConditionedError,
     MonomialRange,
+    NonFiniteError,
     OperatorMatrix,
     TrivialInnerError,
     adjoint_defect,
@@ -51,10 +53,9 @@ from hardyops import (
     unnormalized_kernel,
 )
 from hardyops import operators
-from hardyops.blaschke import sorted_zeros
+from hardyops.blaschke import _tm_shift, sorted_zeros
 from hardyops.cli import ADJOINT_TOL
 from hardyops.model_space import _project_samples, _tm_rows
-from hardyops.operators import _tm_shift
 
 P = np.polynomial.polynomial
 
@@ -717,3 +718,125 @@ def test_operator_matrix_interface():
         OperatorMatrix(np.zeros(3), basis_desc, basis_desc)
     with pytest.raises(ValueError):
         OperatorMatrix(np.zeros((2, 3)), basis_desc, basis_desc).eigenvalues()
+
+
+# -- the stack of powers -------------------------------------------------------
+
+
+def _horner_recover(inner, stack):
+    """`symbol_recover`'s solve and refinement with every phi(S_I) built by
+    Horner's rule, the route the stack of powers replaced: the reference
+    for the tests below."""
+    S, k0 = inner.tm_shift, inner.tm_kernel
+    K, N = operators._newton_matrix(S, k0)
+    coeffs = operators._newton_solve(K, N, stack @ k0)
+    misfit = stack - operators._poly_of_matrix(coeffs, S)
+    refined = coeffs + operators._newton_solve(K, N, misfit @ k0)
+    misfits = np.linalg.norm(misfit, axis=(1, 2))
+    refined_misfits = np.linalg.norm(stack - operators._poly_of_matrix(refined, S), axis=(1, 2))
+    return np.where((refined_misfits < misfits)[:, None], refined, coeffs)
+
+
+def _power_stack_cases():
+    cases = []
+    for degree, radius, separation in ((10, 0.95, 0.05), (40, 0.95, 0.05), (80, 0.97, 0.015)):
+        zeros = separated_zeros(np.random.default_rng([79, degree]), degree, radius, separation)
+        cases.append(pytest.param(zeros, id=f"degree_{degree}"))
+    for multiplicity in (3, 5, 7):
+        # the clustered cases of test_symbol_recover_at_clustered_zeros_...
+        rng = np.random.default_rng([75, multiplicity])
+        zeros = random_zeros(rng, 12, 0.99)
+        zeros[:multiplicity] = zeros[-1]
+        cases.append(pytest.param(zeros, id=f"{multiplicity}_fold"))
+    rng = np.random.default_rng(76)
+    zeros = random_zeros(rng, 20, 0.9)
+    zeros[:10] = 0.99 * np.exp(2j * np.pi * rng.uniform())
+    cases.append(pytest.param(zeros, id="10_fold"))
+    return cases
+
+
+@pytest.mark.parametrize("zeros", _power_stack_cases())
+def test_power_stack_matches_horner(zeros):
+    # Measured: the two routes to n polynomials of S_I differ by at most
+    # 1.2e-15 of the largest entry, and the matrices rebuilt from the
+    # recovered coefficients by at most 2.0e-15 relative, both at degree
+    # 80.  The coefficients themselves agree only to about cond_2(K) * eps,
+    # and past cond_2(K) = 1/eps (1.9e18 at the 10-fold zero) the residual
+    # is 5.6e-11 on either route.
+    inner = blaschke_make(zeros)
+    n = inner.degree
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+    S = inner.tm_shift
+    powers = operators._powers(S)
+    horner = operators._poly_of_matrix(coeffs, S)
+    stacked = operators._poly_stack(coeffs, powers)
+    assert np.abs(stacked - horner).max() <= 1e-14 * np.abs(horner).max()
+    phi, residuals, condition = symbol_recover(inner, horner, powers)
+    assert residuals.max() <= (1e-14 if condition < 1e12 else operators.RECOVERY_TOL)
+    reference = _horner_recover(inner, horner)
+    rebuilt = operators._poly_of_matrix(phi, S)
+    rebuilt_reference = operators._poly_of_matrix(reference, S)
+    sizes = np.linalg.norm(horner, axis=(1, 2))
+    assert np.all(np.linalg.norm(rebuilt - rebuilt_reference, axis=(1, 2)) <= 1e-14 * sizes)
+    # the call builds the same stack when it is not handed one
+    np.testing.assert_array_equal(symbol_recover(inner, horner)[0], phi)
+
+
+def test_symbol_recover_scale_does_not_reach_the_residual():
+    rng = np.random.default_rng(80)
+    inner = blaschke_make(random_zeros(rng, 8, 0.9))
+    phi0 = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    T = operators._poly_of_matrix(phi0, inner.tm_shift)
+    phi, residuals, _ = symbol_recover(inner, T)
+    big_phi, big_residuals, _ = symbol_recover(inner, 1e200 * T)
+    assert big_residuals.max() <= 1e-15 and residuals.max() <= 1e-15
+    np.testing.assert_allclose(big_phi / 1e200, phi, rtol=1e-13)
+
+
+def test_symbol_recover_overflow_is_a_typed_error():
+    # T = 1e306 (S_I - lambda_0) / (lambda_1 - lambda_0) has entries up to
+    # 2e307, but its symbol's coefficients are 1e313: past the largest double
+    lam0, lam1 = 0.999999, 0.999999 + 1e-7j
+    inner = blaschke_make([lam0, lam1])
+    T = 1e306 * ((inner.tm_shift - lam0 * np.eye(2)) / (lam1 - lam0))
+    assert np.all(np.isfinite(T))
+    with pytest.raises(NonFiniteError, match="overflows") as caught:
+        symbol_recover(inner, T)
+    assert "nan" not in str(caught.value)
+    T[0, 0] = np.inf
+    with pytest.raises(NonFiniteError, match="not finite numbers"):
+        symbol_recover(inner, T)
+
+
+def test_adjoint_defect_on_a_shared_rule():
+    rng = np.random.default_rng(81)
+    inner = blaschke_make(random_zeros(rng, 7, 0.9))
+    phi = random_poly(rng, 3)
+    nodes, weights = clark_rule(inner, extra=13)
+    rule = nodes, weights, _tm_rows(inner, nodes)
+    closed = tm_compression(inner, analytic=phi).entries
+    shared = adjoint_defect(inner, phi, closed, rule)
+    assert shared <= ADJOINT_TOL
+    assert abs(shared - adjoint_defect(inner, phi)) <= 1e-13
+    nodes, weights = clark_rule(inner, extra=2)
+    with pytest.raises(ValueError, match="cannot pair a degree-3 symbol"):
+        adjoint_defect(inner, phi, closed, (nodes, weights, _tm_rows(inner, nodes)))
+
+
+def test_returned_arrays_are_not_the_products_own():
+    rng = np.random.default_rng(82)
+    inner = blaschke_make(random_zeros(rng, 5, 0.9))
+    basis = tm_basis(inner, 2.0)
+    k0 = tm_kernel_at_zero(inner)
+    before = (compressed_shift(inner, basis).entries, tm_project(inner, [1.0, 0.5]), k0.copy())
+    k0[:] = 7.0
+    for matrix in (compressed_shift(inner, basis).entries, tm_compression(inner, [0.0, 1.0]).entries):
+        assert not np.shares_memory(matrix, inner.tm_shift)
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 7.0
+    after = (compressed_shift(inner, basis).entries, tm_project(inner, [1.0, 0.5]), tm_kernel_at_zero(inner))
+    for old, new in zip(before, after):
+        np.testing.assert_array_equal(old, new)
+    phi, _, _ = symbol_recover(inner, compressed_shift(inner, basis))
+    np.testing.assert_allclose(phi, [0, 1, 0, 0, 0], atol=1e-12)

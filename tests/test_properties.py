@@ -1,6 +1,7 @@
 """Property tests: the adjoint defect and the projection check hold their
 tolerances on inners of degree 1-8, repeated zeros included, with radii up
-to 1 - 1e-5; a zero at 1 - 1e-6 passes both in small memory."""
+to 1 - 1e-5; a zero at 1 - 1e-6 passes both in small memory.  The report
+writer matches `json.dumps` on generated documents."""
 
 import json
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyops import adjoint_defect, blaschke_make
-from hardyops.cli import ADJOINT_TOL, PROJECTION_TOL, main, parse_config, run_report
+from hardyops.cli import ADJOINT_TOL, PROJECTION_TOL, canonical_json, main, parse_config, run_report
 
 def zeros_within(lowest: float):
     """Radii 1 - 10**u for u in [lowest, 0], so distances to the circle
@@ -70,3 +71,27 @@ def test_zero_near_circle_passes_in_small_memory(tmp_path):
     checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
     assert checks["adjoint"]["defect"] <= ADJOINT_TOL
     assert all(checks["projection"][key] <= PROJECTION_TOL for key in PROJECTION_KEYS)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1.7e308, -1.7e308, 1e-7, 1e16])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é ü ß", "€ 日本 😀", "\ud800"])
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(doc=JSON_DOCS)
+def test_canonical_json_matches_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
