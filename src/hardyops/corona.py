@@ -30,19 +30,13 @@ from .errors import (
     CommonZeroError,
     HardyOpsError,
     IllConditionedError,
+    NonFiniteError,
     NotInModelSpaceError,
     UnitDiscError,
 )
-from .hardy import (
-    GRID_MAX_M,
-    BoundaryFunction,
-    _as_params,
-    _grid_band,
-    grid_for_radius,
-    hp_norm,
-)
-from .model_space import _clark_windows, _project_samples, _tm_rows
-from .operators import tm_compression, toeplitz_apply
+from .hardy import BoundaryFunction, _as_params, hp_norm
+from .model_space import _p_norms, _project_samples
+from .operators import _poly_of_matrix, tm_compression, toeplitz_apply
 
 #: Values of min_k |a(z_k)| at or below this are treated as a common zero.
 ZERO_TOL = 1e-10
@@ -76,13 +70,6 @@ _ZOOM_H = np.cumprod([0.06] + [0.6] * 47)
 #: broadcast (64 KB per temporary).  From degree 26 on, a batch is one
 #: box.
 _ZOOM_BATCH = 2**12
-
-#: Most values (probe functions times nodes) evaluated at once by
-#: `near_degenerate_probe`, which bounds its memory whatever the node
-#: count, and fewest nodes per basis evaluation, which keeps the number
-#: of matrix products linear in the number of probes.
-_PROBE_BLOCK = 1 << 11
-_PROBE_NODES = 1 << 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +121,19 @@ class CoronaCertificate:
 
 
 def _symbol_poly(symbol_coeffs) -> np.ndarray:
-    """Trimmed coefficients of a symbol; non-finite coefficients are refused."""
+    """Trimmed coefficients of a symbol; non-finite coefficients are
+    refused, and so are overflowing bounds (`_bounded`)."""
     poly = as_poly(symbol_coeffs)
     if not np.all(np.isfinite(poly)):
         raise ValueError(f"symbol coefficients must be finite, got {poly}")
+    _bounded(poly[None, :])
     return poly
 
 
 def _symbol_rows(symbol_coeffs) -> tuple[np.ndarray, bool]:
     """(rows, stacked): one symbol as a one-row stack, or a 2-D stack of
-    symbols of one degree; non-finite coefficients are refused."""
+    symbols of one degree; non-finite coefficients are refused, and so
+    are overflowing bounds (`_bounded`)."""
     arr = np.asarray(symbol_coeffs, dtype=complex)
     if arr.ndim < 2:
         return _symbol_poly(arr)[None, :], False
@@ -153,7 +143,25 @@ def _symbol_rows(symbol_coeffs) -> tuple[np.ndarray, bool]:
         )
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"symbol coefficients must be finite, got {arr}")
+    _bounded(arr)
     return arr, True
+
+
+def _bounded(rows: np.ndarray) -> None:
+    """Raise NonFiniteError, before anything is evaluated, for a row whose
+    sum_k |c_k| or sum_k k |c_k| is not finite.  These sums bound |a|
+    and |a'| on the closed disc, so while both are finite no Horner step
+    of this module overflows."""
+    with np.errstate(over="ignore"):
+        size = np.abs(rows)
+        total, slope = size.sum(axis=1), size[:, 1:] @ np.arange(1, rows.shape[1])
+    finite = np.isfinite(total) & np.isfinite(slope)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise NonFiniteError(
+            f"symbol coefficients too large: sum |c_k| = {total[r]:.3e} and "
+            f"sum k |c_k| = {slope[r]:.3e} must be finite to bound |a| and |a'|"
+        )
 
 
 def _horner(poly: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -589,7 +597,7 @@ def _bezout_pairs(polys: np.ndarray, inner: BlaschkeProduct) -> list:
     rows, n, d = len(polys), inner.degree, polys.shape[1] - 1
     if rows == 0:
         return []
-    cpz, q, q_roots, inner_sup = inner.sup_data
+    cpz, q, q_roots, _ = inner.sup_data
     if d == 0 or n == 0:
         zero = np.broadcast_to(as_poly([0.0]), (rows, 1))
         if d == 0:
@@ -633,11 +641,11 @@ def _bezout_pairs(polys: np.ndarray, inner: BlaschkeProduct) -> list:
             for k, u_roots in zip(nonzero[close], roots[close]):
                 plain[k] = False
                 reduced = _lowest_terms(u[k], den, den_roots, u_roots)
-                _sup_pass(fields, polys, group[k : k + 1], reduced, w[k : k + 1], inner_sup)
+                _sup_pass(fields, polys, group[k : k + 1], reduced, w[k : k + 1], inner)
         if plain.any():
             lead = den[-1]
             reduced = (u[plain] / lead, den / lead, den_roots)
-            _sup_pass(fields, polys, group[plain], reduced, w[plain], inner_sup)
+            _sup_pass(fields, polys, group[plain], reduced, w[plain], inner)
     return fields
 
 
@@ -648,11 +656,14 @@ def _trimmed_length(rows: np.ndarray) -> np.ndarray:
     return np.where(nonzero.any(axis=1), last, 1)
 
 
-def _sup_pass(fields, polys, rows, reduced, ws, inner_sup) -> None:
+def _sup_pass(fields, polys, rows, reduced, ws, inner: BlaschkeProduct) -> None:
     """fields[r] for the `rows` of `polys`, with u = nums[k] / den from
     `reduced` = (nums, den, den roots) and v = ws[k]: the residual and sup
-    norms on SUP_POINTS, in blocks of rows that fit the scan's size."""
+    norms on SUP_POINTS, in blocks of rows that fit the scan's size.  A
+    row that fails the gate names 1/sigma_min of a(S_I), from one SVD of
+    its own."""
     nums, den, den_roots = reduced
+    inner_sup = inner.sup_data[3]
     nums = np.atleast_2d(nums)
     den_sup = _horner(den, SUP_POINTS)
     block = max(1, _SCAN_RADII.size * _SCAN_CIRCLE.size // SUP_POINTS.size)
@@ -674,8 +685,12 @@ def _sup_pass(fields, polys, rows, reduced, ws, inner_sup) -> None:
         del lhs
         for j, r in enumerate(rows[k]):
             if not residual[j] <= BEZOUT_TOL:
+                sigma = np.linalg.svd(_poly_of_matrix(polys[r], inner.tm_shift), compute_uv=False)
+                with np.errstate(divide="ignore"):
+                    inverse = 1.0 / sigma[-1]
                 fields[r] = IllConditionedError(
-                    f"Bezout identity residual {residual[j]:.3e} exceeds {BEZOUT_TOL:.1e}"
+                    f"Bezout identity residual {residual[j]:.3e} exceeds {BEZOUT_TOL:.1e}; "
+                    f"1/sigma_min of a(S_I) is {inverse:.3e}"
                 )
                 continue
             fields[r] = {
@@ -805,51 +820,6 @@ def _conjugate_kernel_coords(inner: BlaschkeProduct, z: complex, q: float) -> np
     return scale * np.sqrt(1.0 - np.abs(lam) ** 2) / den * later
 
 
-def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, windows):
-    """(sum_zeta w * |f(zeta)|^p)^(1/p) for the model-space elements f whose
-    Takenaka-Malmquist coordinates are the columns of `coords`, over the
-    nodes and weights that `windows` yields, window by window.
-
-    Each chunk of nodes gets one evaluation of the basis (`_tm_rows`),
-    shared by all columns, which then take one matrix product per group
-    of columns; a chunk has at least _PROBE_NODES nodes unless fewer are
-    left, and a group at most _PROBE_BLOCK values.  The sums run relative
-    to the largest modulus seen so far, so no power overflows for large
-    p."""
-    n, cols = coords.shape
-    size = max(_PROBE_NODES, _PROBE_BLOCK // max(n, cols, 1))
-    width = max(1, _PROBE_BLOCK // size)
-    top = np.full(cols, np.finfo(float).tiny)
-    total = np.zeros(cols)
-    for pts, w in _chunks(windows, size):
-        basis = _tm_rows(inner, pts)
-        for j in range(0, cols, width):
-            mod = np.abs(coords[:, j : j + width].T @ basis)
-            old = top[j : j + width]
-            new = np.maximum(old, mod.max(axis=-1))
-            mod /= new[:, None]
-            np.power(mod, p, out=mod)
-            total[j : j + width] *= (old / new) ** p
-            total[j : j + width] += np.sum(mod * w, axis=-1)
-            top[j : j + width] = new
-    return top * total ** (1.0 / p)
-
-
-def _chunks(windows, size: int):
-    """The nodes and weights of `windows` in chunks of `size`."""
-    nodes, weights = np.empty(0, dtype=complex), np.empty(0)
-    for x, w in windows:
-        if len(nodes):
-            x, w = np.concatenate([nodes, x]), np.concatenate([weights, w])
-        nodes, weights = x, w
-        stop = len(nodes) - len(nodes) % size
-        for i in range(0, stop, size):
-            yield nodes[i : i + size], weights[i : i + size]
-        nodes, weights = nodes[stop:], weights[stop:]
-    if len(nodes):
-        yield nodes, weights
-
-
 def near_degenerate_probe(
     inner: BlaschkeProduct,
     symbol_coeffs,
@@ -865,20 +835,9 @@ def near_degenerate_probe(
     space, so the projection leaves it unchanged, and its coordinates in
     the Takenaka-Malmquist basis have a closed form; those of
     T_conj(a) f are a(S_I)^* times them.  All rows share one evaluation
-    of the basis per chunk of nodes, with no FFT (`_p_norms`).
-
-    For even p = 2k with k*n at most the node count of
-    `grid_for_radius(max |lambda_k|)` and at most GRID_MAX_M, f and
-    T_conj(a) f lie in K_I, so f^k lies in K_{I^k} and
-    ||f||_p^p = ||f^k||_2^2 is the exact sum of w * |f|^p over the kn
-    Clark points of I^k (`clark_rule(inner, power=k)`).  For larger even
-    p, ||f||_p is the trapezoid mean over the nodes of that grid, where
-    |f|^p is rational with poles only at the zeros of I and their
-    reflections; a grid above GRID_MAX_M nodes raises UnitDiscError.  For
-    any other p, |f|^p also has branch points at the zeros of f, which
-    approach the circle as |z| does, and the mean runs over the nodes of
-    `grid_for_radius(max(|z|, |lambda_k|))` over all probes.  Either way
-    the nodes reach `_p_norms` window by window.
+    of the basis per chunk of nodes, with no FFT.  The norms come from
+    `model_space._p_norms`: exact Clark sums at even p, and Clark sums
+    doubled until they settle to NORM_TOL otherwise.
     """
     params = _as_params(params if params is not None else 2.0)
     poly = _symbol_poly(symbol_coeffs)
@@ -890,23 +849,7 @@ def near_degenerate_probe(
     x = np.array([_conjugate_kernel_coords(inner, z, params.q) for z in probes])
     x = x.reshape(len(probes), inner.degree).T
     coords = np.column_stack([x, adjoint.apply(x)])
-    radius = max(abs(lam) for lam in inner.zeros)
-    p = params.p
-    if p % 2.0 == 0.0 and p / 2.0 * inner.degree <= min(_grid_band(radius)[0], GRID_MAX_M):
-        windows = _clark_windows(inner, power=int(p) // 2)
-    else:
-        if p % 2.0 != 0.0:
-            radius = max([radius] + [abs(z) for z in probes])
-        count = grid_for_radius(radius).m
-        windows = (
-            (
-                np.exp(2j * np.pi * np.arange(i, min(i + _PROBE_BLOCK, count)) / count),
-                np.full(min(_PROBE_BLOCK, count - i), 1.0 / count),
-            )
-            for i in range(0, count, _PROBE_BLOCK)
-        )
-
-    norms = _p_norms(inner, coords, p, windows)
+    norms = _p_norms(inner, coords, params.p)
     rows = [
         ProbeRow(
             z=z,

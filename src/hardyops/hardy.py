@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     ExponentError,
     GridMismatchError,
-    IllConditionedError,
     NotAnalyticError,
     UnitDiscError,
 )
@@ -29,17 +28,6 @@ DEFAULT_N = 1000
 
 #: Relative negative-mass threshold below which a function counts as analytic.
 ANALYTIC_TOL = 1e-8
-
-#: Coefficient tail that `grid_for_radius` leaves unresolved.
-GRID_TAIL = 1e-10
-
-#: Most nodes `grid_for_radius` hands out; a radius needing more raises.
-GRID_MAX_M = 1 << 23
-
-#: `integral_mean` stops refining when two successive quadratures agree to
-#: this relative tolerance, and gives up beyond this many points.
-INTEGRAL_MEAN_RTOL = 1e-8
-INTEGRAL_MEAN_MAX_POINTS = 1 << 22
 
 
 def _validate_exponent(p: float) -> None:
@@ -94,30 +82,6 @@ class CircleGrid:
 
 
 DEFAULT_GRID = CircleGrid()
-
-
-def _grid_band(radius: float) -> tuple[int, int]:
-    """(m, n) of the grid `grid_for_radius` builds for `radius`, before its
-    cap: callers compare against that size without building the grid."""
-    n = int(np.ceil(np.log(GRID_TAIL) / np.log(radius))) + 8 if radius > 0.0 else 0
-    if n <= DEFAULT_N:
-        return DEFAULT_M, DEFAULT_N
-    return 1 << int(np.ceil(np.log2(2 * n + 2))), n
-
-
-def grid_for_radius(radius: float) -> CircleGrid:
-    """A grid whose band resolves geometric coefficient decay radius**k
-    down to GRID_TAIL; the default grid for well-separated radii."""
-    if not 0.0 <= radius < 1.0:
-        raise UnitDiscError(f"radius {radius} must lie in [0, 1)")
-    m, n = _grid_band(radius)
-    if n == DEFAULT_N:
-        return DEFAULT_GRID
-    if m > GRID_MAX_M:
-        raise UnitDiscError(
-            f"radius {radius} is too close to the circle for stable computation (m={m})"
-        )
-    return CircleGrid(m=m, n=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,36 +331,6 @@ def shifts(f: BoundaryFunction) -> tuple[BoundaryFunction, BoundaryFunction]:
     return (
         BoundaryFunction(f.grid, fwd, f.tail_mass + lost),
         BoundaryFunction(f.grid, bwd, f.tail_mass),
-    )
-
-
-def integral_mean(z: complex, params) -> float:
-    """(integral_0^2pi dtheta / |1 - z e^{-i theta}|**p)**(1/p) for |z| < 1.
-
-    Trapezoidal quadrature with doubling refinement until two successive
-    refinements agree to INTEGRAL_MEAN_RTOL relative.
-    """
-    params = _as_params(params)
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise UnitDiscError(f"|z|={abs(z)} must be < 1")
-    p = params.p
-
-    def quad(k: int) -> float:
-        theta = 2.0 * np.pi * np.arange(k) / k
-        integrand = np.abs(1.0 - z * np.exp(-1j * theta)) ** (-p)
-        return float(np.mean(integrand) * 2.0 * np.pi)
-
-    k = 512
-    prev = quad(k)
-    while k <= INTEGRAL_MEAN_MAX_POINTS:
-        k *= 2
-        cur = quad(k)
-        if abs(cur - prev) <= INTEGRAL_MEAN_RTOL * abs(cur):
-            return cur ** (1.0 / p)
-        prev = cur
-    raise IllConditionedError(
-        f"integral mean at z={z}, p={p} did not converge within {INTEGRAL_MEAN_MAX_POINTS} points"
     )
 
 

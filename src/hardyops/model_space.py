@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, sorted_zeros
-from .errors import IllConditionedError
+from .errors import IllConditionedError, NonFiniteError, UnitDiscError
 from .hardy import (
     DEFAULT_GRID,
     BoundaryFunction,
@@ -38,6 +38,21 @@ _CLARK_BLOCK = 1 << 14
 #: Newton or bisection steps allowed per Clark node; bisection alone
 #: resolves any bracket to rounding in about 55.
 _CLARK_MAX_ITER = 100
+
+#: `_p_norms` stops doubling its Clark rule once two doublings in a row
+#: each move every norm by at most this, relative.
+NORM_TOL = 1e-10
+
+#: Most Clark nodes `_p_norms` sums over, for the exact even-p rule and
+#: for the doubled rule alike.
+CLARK_MAX_NODES = 1 << 20
+
+#: Most values (functions times nodes) evaluated at once by `_p_norms`,
+#: which bounds its memory whatever the node count, and fewest nodes per
+#: basis evaluation, which keeps the number of matrix products linear in
+#: the number of functions.
+_NORM_BLOCK = 1 << 11
+_NORM_NODES = 1 << 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,6 +291,105 @@ def clark_rule(inner: BlaschkeProduct, power: int = 1, extra: int = 0):
     """
     nodes, weights = zip(*_clark_windows(inner, power, extra))
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _p_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float) -> np.ndarray:
+    """((1/2pi) integral |f|^p)^(1/p) for the model-space elements f whose
+    Takenaka-Malmquist coordinates are the columns of `coords`, from sums
+    of w * |f|^p over the Clark points of I^k (`clark_rule(inner, power=k)`).
+
+    For even p = 2k with kn <= CLARK_MAX_NODES, f^k lies in K_{I^k}, so
+    ||f||_p^p = ||f^k||_2^2 is that sum exactly.  For any other p the sum
+    is a trapezoid rule: in the phase t = arg I^k(zeta) the kn nodes are
+    equispaced and the weights are dtheta/dt.  Every zero of a probe
+    f = C k_z maps to the one phase of I^k(z), so the sums converge at a
+    rate set by |I(z)| and by zeros of I clustered near the circle, not
+    by 1 - |z| itself.  They run over k = 1, 2, 4, ... and stop once two
+    doublings in a row each move every norm by at most NORM_TOL relative;
+    the successive differences are not monotone, hence two.  A doubling
+    past CLARK_MAX_NODES nodes raises IllConditionedError with the node
+    count reached and the last difference.
+    """
+    n = inner.degree
+    if p % 2.0 == 0.0 and p / 2.0 * n <= CLARK_MAX_NODES:
+        return _clark_norms(inner, coords, p, int(p) // 2)
+    power, last, moved = 1, np.inf, [np.inf]
+    while power * n <= CLARK_MAX_NODES:
+        norms = _clark_norms(inner, coords, p, power)
+        scale = np.maximum(norms, np.finfo(float).tiny)  # a zero f stays zero
+        moved.append(float(np.max(np.abs(norms - last) / scale, initial=0.0)))
+        if max(moved[-2:]) <= NORM_TOL:
+            return norms
+        last, power = norms, 2 * power
+    raise IllConditionedError(
+        f"p-norms at p={p:g} did not settle within CLARK_MAX_NODES={CLARK_MAX_NODES} "
+        f"Clark nodes: the doubling to {power // 2 * n} nodes moved them by "
+        f"{moved[-1]:.3e} relative, above NORM_TOL={NORM_TOL:.0e}"
+    )
+
+
+def _clark_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, power: int) -> np.ndarray:
+    """(sum_zeta w * |f(zeta)|^p)^(1/p) over the Clark points of I^power,
+    for the columns of `coords` as in `_p_norms`.
+
+    The nodes arrive window by window (`_clark_windows`).  Each chunk of
+    them gets one evaluation of the basis (`_tm_rows`), shared by all
+    columns, which then take one matrix product per group of columns; a
+    chunk has at least _NORM_NODES nodes unless fewer are left, and a
+    group at most _NORM_BLOCK values.  The sums run relative to the
+    largest modulus seen so far, so no power overflows for large p.  A
+    norm that is not finite raises NonFiniteError."""
+    n, cols = coords.shape
+    size = max(_NORM_NODES, _NORM_BLOCK // max(n, cols, 1))
+    width = max(1, _NORM_BLOCK // size)
+    top = np.full(cols, np.finfo(float).tiny)
+    total = np.zeros(cols)
+    for pts, w in _chunks(_clark_windows(inner, power=power), size):
+        basis = _tm_rows(inner, pts)
+        for j in range(0, cols, width):
+            mod = np.abs(coords[:, j : j + width].T @ basis)
+            old = top[j : j + width]
+            new = np.maximum(old, mod.max(axis=-1))
+            mod /= new[:, None]
+            np.power(mod, p, out=mod)
+            total[j : j + width] *= (old / new) ** p
+            total[j : j + width] += np.sum(mod * w, axis=-1)
+            top[j : j + width] = new
+    norms = top * total ** (1.0 / p)
+    if not np.all(np.isfinite(norms)):  # it would never settle
+        raise NonFiniteError(f"p-norms at p={p:g} on {power * n} Clark nodes are not finite")
+    return norms
+
+
+def _chunks(windows, size: int):
+    """The nodes and weights of `windows` in chunks of `size`."""
+    nodes, weights = np.empty(0, dtype=complex), np.empty(0)
+    for x, w in windows:
+        if len(nodes):
+            x, w = np.concatenate([nodes, x]), np.concatenate([weights, w])
+        nodes, weights = x, w
+        stop = len(nodes) - len(nodes) % size
+        for i in range(0, stop, size):
+            yield nodes[i : i + size], weights[i : i + size]
+        nodes, weights = nodes[stop:], weights[stop:]
+    if len(nodes):
+        yield nodes, weights
+
+
+def integral_mean(z: complex, params) -> float:
+    """(integral_0^2pi dtheta / |1 - z e^{-i theta}|**p)**(1/p) for |z| < 1.
+
+    The integrand is |k_z|^p for k_z = 1/(1 - conj(z) zeta) = e_0/sqrt(1-|z|^2),
+    the reproducing kernel of the one-dimensional model space of b_z, so the
+    mean is (2pi)^(1/p) ||k_z||_p from `_p_norms`: exact at even p, and
+    settled to NORM_TOL otherwise.
+    """
+    p = _as_params(params).p
+    z = complex(z)
+    if not abs(z) < 1.0:
+        raise UnitDiscError(f"|z|={abs(z)} must be < 1")
+    coords = np.array([[1.0 / np.sqrt(1.0 - abs(z) ** 2)]])
+    return float((2.0 * np.pi) ** (1.0 / p) * _p_norms(BlaschkeProduct((z,)), coords, p)[0])
 
 
 def tm_kernel_at_zero(inner: BlaschkeProduct) -> np.ndarray:

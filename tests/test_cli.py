@@ -4,18 +4,20 @@ determinism, exit codes, and sweep CSV output."""
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_zeros, separated_zeros
+from conftest import GRID_TAIL, quad_probe_norms, random_zeros, reference_grid, separated_zeros
 
 import hardyops
 from hardyops import ConfigError, IllConditionedError
-from hardyops import cli, hardy
+from hardyops import cli, hardy, model_space
 from hardyops.cli import (
     CHECKS,
     TOLERANCES,
@@ -307,13 +309,12 @@ def test_projection_defect_above_tolerance_exits_3(tmp_path, monkeypatch):
 
 def test_projection_needs_no_grid_for_repeated_zero(tmp_path, monkeypatch):
     # a double zero at 0.98 needed 8192 FFT nodes; the check now builds no
-    # grid and samples nothing, so a 4096-node cap cannot stop it
+    # grid and samples nothing
     doc = base_config()
     doc["inner"] = {"zeros": [0.98, 0.98]}
     doc["checks"] = ["projection"]
     cfg = write_json(tmp_path, "cfg.json", doc)
     out = tmp_path / "r.json"
-    monkeypatch.setattr(hardy, "GRID_MAX_M", 4096)
 
     def refuse(*args):
         raise AssertionError("the projection check sampled a grid function")
@@ -330,9 +331,9 @@ def _fft_projection_defects(inner, seed):
     f and h: P_I f = I * P_minus(conj(I) f) on the grid of max |lambda_k|,
     doubled until I's samples leave a tail of at most GRID_TAIL (a k-fold
     zero's coefficients decay like N**(k-1) * r**N)."""
-    grid = hardy.grid_for_radius(max(abs(z) for z in inner.zeros))
+    grid = reference_grid(max(abs(z) for z in inner.zeros))
     ib = inner.boundary(grid)
-    while ib.tail_mass > hardy.GRID_TAIL:
+    while ib.tail_mass > GRID_TAIL:
         grid = hardy.CircleGrid(m=2 * grid.m, n=2 * grid.n)
         ib = inner.boundary(grid)
     rng = np.random.default_rng(seed)
@@ -652,6 +653,10 @@ def test_sweep_ill_conditioned_row_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Bezout identity residual" in err
     assert "symbol_zero row at offset 1e-06+0j, zero -0.129999+0.06j:" in err
+    # the message names 1/sigma_min of a(S_I), here from a(S_I)^*
+    inverse = re.search(r"; 1/sigma_min of a\(S_I\) is (\S+)\n", err)
+    adjoint = hardyops.tm_compression(parse_config(doc).inner, coanalytic=[-(-0.13 + 0.06j + 1e-6), 1.0])
+    assert inverse and float(inverse.group(1)) == pytest.approx(1.0 / adjoint.sigma_min(), rel=1e-3)
 
 
 def _symbol_zero_inners(rng):
@@ -749,15 +754,35 @@ def test_sweep_probe_radius(tmp_path):
     assert row[6] == "2"
 
 
-def test_sweep_probe_radius_zero_too_close_to_circle_exits_3(tmp_path, capsys):
-    # at p = 1.5 the probe norms need grid_for_radius(1 - 1e-6), m = 2^26
+def test_sweep_probe_radius_zero_near_circle_at_p_1_5(tmp_path):
+    # an FFT grid would need 2^26 nodes here; the Clark sums of I^k settle
+    # at 256 nodes and match quad to 1e-9
+    doc = base_config()
+    doc["inner"] = {"zeros": [1.0 - 1e-6, -0.5]}
+    doc["p"] = 1.5
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2]})
+    out = tmp_path / "probe.csv"
+    assert main(["sweep", "--config", cfg, "--family", fam, "--out", str(out)]) == 0
+    row = out.read_text(encoding="utf-8").split("\n")[1].split(",")
+    f_ref, taf_ref = quad_probe_norms(parse_config(doc).inner, doc["symbol"], 0.2, 1.5)
+    assert float(row[3]) == pytest.approx(f_ref, rel=1e-9)
+    assert float(row[4]) == pytest.approx(taf_ref, rel=1e-9)
+
+
+def test_sweep_probe_radius_cap_exits_3_with_nodes_and_difference(tmp_path, capsys, monkeypatch):
+    # at 64 nodes the sums of the test above still move by 7.3e-7
+    monkeypatch.setattr(model_space, "CLARK_MAX_NODES", 64)
     doc = base_config()
     doc["inner"] = {"zeros": [1.0 - 1e-6, -0.5]}
     doc["p"] = 1.5
     cfg = write_json(tmp_path, "cfg.json", doc)
     fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2]})
     assert main(["sweep", "--config", cfg, "--family", fam]) == 3
-    assert "too close to the circle" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "did not settle within CLARK_MAX_NODES=64 Clark nodes" in err
+    moved = re.search(r"the doubling to 64 nodes moved them by (\S+) relative", err)
+    assert moved and float(moved.group(1)) > model_space.NORM_TOL
 
 
 def test_sweep_probe_radius_zero_near_circle_at_p2(tmp_path):
@@ -774,24 +799,26 @@ def test_sweep_probe_radius_zero_near_circle_at_p2(tmp_path):
     assert float(row[3]) == pytest.approx(np.sqrt(1.0 - abs(inner(0.2)) ** 2), rel=1e-9)
 
 
-def test_sweep_probe_radius_zero_too_close_to_circle_large_even_p_exits_3(tmp_path, capsys):
-    # k*n = 2^25 Clark points of I^k would be more than GRID_MAX_M = 2^23,
-    # so the probe takes the grid route, and grid_for_radius(1 - 1e-6)
-    # refuses its 2^26 nodes before any is allocated
+def test_sweep_probe_radius_zero_near_circle_large_even_p(tmp_path):
+    # k*n = 2^25 Clark points of I^k would be more than CLARK_MAX_NODES, so
+    # the rule of I^k doubles until it settles, at 131 072 nodes; they
+    # reach the sums window by window (traced peak 5.3 MB)
     doc = base_config()
     doc["inner"] = {"zeros": [1.0 - 1e-6, -0.5]}
     doc["p"] = float(2**25)
     cfg = write_json(tmp_path, "cfg.json", doc)
     fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2]})
+    out = tmp_path / "probe.csv"
     tracemalloc.start()
     try:
-        code = main(["sweep", "--config", cfg, "--family", fam])
+        code = main(["sweep", "--config", cfg, "--family", fam, "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3
-    assert peak < 1 << 20
-    assert f"m={2**26}" in capsys.readouterr().err
+    assert code == 0
+    assert peak < 8 << 20
+    row = out.read_text(encoding="utf-8").split("\n")[1].split(",")
+    assert all(0.0 < float(x) < np.inf for x in row[3:5])
 
 
 def test_sweep_probe_radius_large_even_p_memory_is_bounded(tmp_path):
@@ -1143,6 +1170,26 @@ def test_overflowing_symbol_matrix_is_a_typed_error(tmp_path, capsys):
         assert "a(S_I) overflows" in checks[name]["message"]
     assert "nan" not in json.dumps(checks).lower()
     assert capsys.readouterr().err == ""
+
+
+def test_overflowing_symbol_sums_are_a_typed_error(tmp_path, capsys):
+    # sum |c_k| = 3e308 overflows: corona printed delta = 1.28e292 as
+    # consistent and bezout a nan residual, after six RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, checks = _big_symbol_report(tmp_path, 1e308, ["corona", "bezout"])
+    assert code == 3
+    for name in ("corona", "bezout"):
+        assert checks[name]["error"] == "NonFiniteError"
+        assert "sum |c_k| = inf" in checks[name]["message"]
+    # the probe refuses it too, before a doubling that could never settle
+    doc = {"inner": BIG_INNER, "symbol": [[1e308, 0.0]] * 3, "p": 1.5}
+    fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2, 0.9]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--config", write_json(tmp_path, "cfg.json", doc), "--family", fam])
+    assert code == 3
+    assert "sum |c_k| = inf" in capsys.readouterr().err
 
 
 # -- the JSON writer ---------------------------------------------------------------

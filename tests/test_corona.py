@@ -1,13 +1,12 @@
 """Corona pairs: the infimum delta, Bezout certificates, explicit inverses,
 and near-degenerate probes."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
-from conftest import random_blaschke, random_poly, random_zeros
+from conftest import quad_probe_norms, random_blaschke, random_poly, random_zeros, reference_grid
 
 from hardyops import (
+    BlaschkeProduct,
     BoundaryFunction,
     CommonZeroError,
     DEFAULT_GRID,
@@ -16,12 +15,12 @@ from hardyops import (
     bezout_solve,
     blaschke_eval,
     blaschke_make,
+    clark_rule,
     compressed_matrix,
     corona_delta,
     corona_inverse_apply,
     corona_roundtrip_residual,
     factor_difference,
-    grid_for_radius,
     hp_norm,
     min_abs_at_zeros,
     monomial,
@@ -32,10 +31,9 @@ from hardyops import (
     tm_eval,
     toeplitz_apply,
 )
-from hardyops import corona
+from hardyops import corona, model_space
 from hardyops.blaschke import SUP_POINTS, _tm_shift, as_poly, sorted_zeros
-from hardyops.hardy import p_mean
-from hardyops.model_space import _project_samples
+from hardyops.model_space import CLARK_MAX_NODES, NORM_TOL, _project_samples
 from hardyops.operators import _poly_of_matrix
 
 P = np.polynomial.polynomial
@@ -736,7 +734,7 @@ def test_probe_norms_finite_at_large_p():
     inner = blaschke_make([0.3, -0.5])
     a = [-0.7, 1.0]
     adjoint = tm_compression(inner, coanalytic=a)
-    nodes = grid_for_radius(0.5).points
+    nodes = DEFAULT_GRID.points
     for p in (200.0, 800.0):
         report = near_degenerate_probe(inner, a, [0.9, 0.99], p)
         for z, row in zip((0.9, 0.99), report.rows):
@@ -757,10 +755,10 @@ def test_probe_singular_at_common_zero():
 def _reference_probe(inner, symbol, probes, p):
     """Independent FFT route for the probe norms: the factor difference
     quotient times the normalized kernel, sampled on
-    grid_for_radius(max(|z|, |lambda_k|)), projected by I P_minus(conj(I) f)
+    reference_grid(max(|z|, |lambda_k|)), projected by I P_minus(conj(I) f)
     and multiplied by conj(a) through toeplitz_apply.  Returns
     (f_norm, Taf_norm) per probe."""
-    grid = grid_for_radius(max([abs(z) for z in probes] + [abs(z) for z in inner.zeros]))
+    grid = reference_grid(max([abs(z) for z in probes] + [abs(z) for z in inner.zeros]))
     ib = inner.boundary(grid)
     a_bar = BoundaryFunction.from_poly(grid, as_poly(symbol)).conj()
     norms = []
@@ -815,9 +813,9 @@ def test_probe_closed_form_at_p2():
 
 
 def test_probe_node_count_resolves_norms():
-    # doubling the nodes moves nothing: at p = 1.5 the grid of
-    # max(|z|, |lambda_k|) resolves the branch points, at even p the grid
-    # of the inner zeros alone resolves the rational |f|^p
+    # a trapezoid mean on twice the reference grid of max(|z|, |lambda_k|)
+    # (p = 1.5) or of the inner zeros alone (even p) agrees with the
+    # probe's Clark sums
     for inner, a, direction in _seeded_probe_cases():
         probes = [r * direction for r in (0.5, 0.99, 0.999)]
         adjoint = tm_compression(inner, coanalytic=a)
@@ -825,7 +823,7 @@ def test_probe_node_count_resolves_norms():
             radius = max(abs(z) for z in inner.zeros)
             if p == 1.5:
                 radius = max(radius, max(abs(z) for z in probes))
-            m = 2 * grid_for_radius(radius).m
+            m = 2 * reference_grid(radius).m
             nodes = np.exp(2j * np.pi * np.arange(m) / m)
             report = near_degenerate_probe(inner, a, probes, p)
             for z, row in zip(probes, report.rows):
@@ -836,65 +834,111 @@ def test_probe_node_count_resolves_norms():
                 assert row.taf_norm == pytest.approx(taf_norm, rel=tol, abs=0.0)
 
 
-def _per_row_probe(inner, a, probes, p, nodes):
+def _per_row_probe(inner, a, probes, p, nodes, weights):
     """The probe norms row by row: one `tm_eval` pass per probe over all
-    of `nodes`, then `p_mean` of each row."""
+    of `nodes`, then the weighted p-mean of each row relative to its
+    largest modulus."""
     adjoint = tm_compression(inner, coanalytic=a)
     norms = []
     for z in probes:
         x = corona._conjugate_kernel_coords(inner, z, p / (p - 1.0))
-        norms.append(p_mean(tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes), p))
+        mod = np.abs(tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes))
+        top = mod.max(axis=1)
+        norms.append(top * np.sum(weights * (mod / top[:, None]) ** p, axis=1) ** (1.0 / p))
     return norms
 
 
-def test_probe_batched_rows_match_per_row_loop():
-    # all rows share each chunk's tm_eval pass, and the chunks' p-means
-    # combine through a running maximum
+def test_probe_batched_rows_match_per_row_loop(monkeypatch):
+    # all rows share each chunk's tm_eval pass, and the chunks' sums
+    # combine through a running maximum; the reference sums whole rows
+    # over the last Clark rule the probe took
+    powers = []
+    windows = model_space._clark_windows
+
+    def record(inner, power=1, extra=0):
+        powers.append(power)
+        return windows(inner, power, extra)
+
+    monkeypatch.setattr(model_space, "_clark_windows", record)
     for inner, a, direction in _seeded_probe_cases():
         probes = [r * direction for r in (0.0, 0.5, 0.9, 0.99, 0.999)]
-        radius = max([abs(z) for z in probes] + [abs(lam) for lam in inner.zeros])
-        nodes = grid_for_radius(radius).points
         for p in (1.5, 3.0):
             report = near_degenerate_probe(inner, a, probes, p)
-            for row, ref in zip(report.rows, _per_row_probe(inner, a, probes, p, nodes)):
+            nodes, weights = clark_rule(inner, power=powers[-1])
+            for row, ref in zip(report.rows, _per_row_probe(inner, a, probes, p, nodes, weights)):
                 assert [row.f_norm, row.taf_norm] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _log_trapezoid(inner, a, z, p, m):
+    """(mean of |g|^p)^(1/p) for g = f and T_conj(a) f of the probe at z,
+    on m equispaced nodes, summed as logs so that no power underflows at
+    any p."""
+    adjoint = tm_compression(inner, coanalytic=a)
+    x = corona._conjugate_kernel_coords(inner, z, p / (p - 1.0))
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    logs = p * np.log(np.abs(tm_eval(inner, np.column_stack([x, adjoint.apply(x)]), nodes)))
+    return np.exp((np.logaddexp.reduce(logs, axis=1) - np.log(m)) / p)
 
 
 @pytest.mark.parametrize("p", [1e6, 1e300])
 def test_probe_large_even_p_keeps_grid_route(p):
-    # k*n far above the grid's 2048 nodes: the trapezoid mean on that grid,
-    # with no Clark nodes; the per-row route peaked at 402 KB (p = 1e6)
-    # and 366 KB (p = 1e300) under tracemalloc
+    # the reference is a grid route: a log-sum-exp trapezoid on 2^16 nodes
+    # resolves the peak of |f|^p at p = 1e6 (2^14 nodes already agree to
+    # 1e-15, 2048 nodes are off by 5.5e-7) and holds max |f| itself at
+    # p = 1e300, where the peak is at zeta = 1.  p = 1e6 is an exact sum
+    # over 10^6 Clark points of I^(p/2); p = 1e300 doubles the rule of I^k
+    # up to CLARK_MAX_NODES and settles to NORM_TOL.
     inner = blaschke_make([0.3, -0.5])
     a = [-0.7, 1.0]
     probes = [0.9, 0.99]
-    near_degenerate_probe(inner, a, probes, p)
-    tracemalloc.start()
-    try:
-        report = near_degenerate_probe(inner, a, probes, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 360_000
-    for row, ref in zip(report.rows, _per_row_probe(inner, a, probes, p, DEFAULT_GRID.points)):
+    tol = 1e-13 if p / 2.0 * inner.degree <= CLARK_MAX_NODES else NORM_TOL
+    report = near_degenerate_probe(inner, a, probes, p)
+    for z, row in zip(probes, report.rows):
+        ref = _log_trapezoid(inner, a, z, p, 1 << 16)
         assert 0.0 < row.f_norm < np.inf and 0.0 < row.taf_norm < np.inf
-        assert [row.f_norm, row.taf_norm] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert [row.f_norm, row.taf_norm] == pytest.approx(ref, rel=tol, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "zeros, probes",
+    [
+        # a zero 1e-6 from the circle, probed along it (an FFT grid would
+        # need 2^26 nodes)
+        ([1.0 - 1e-6, -0.5], [0.2, 0.9, 0.999]),
+        # a three-zero cluster (a 2^16-node grid is off by 3.4e-8)
+        ([0.999 * np.exp(1j * t) for t in (0.30, 0.31, 0.32)], [0.5]),
+        # degree 5, probed out to 0.99999
+        (random_zeros(np.random.default_rng(5), 5, radius=0.9), [r * np.exp(0.7j) for r in (0.9, 0.999, 0.99999)]),
+    ],
+    ids=["near_circle", "cluster", "degree5"],
+)
+def test_probe_norms_match_quad(zeros, probes):
+    inner = blaschke_make(zeros)
+    a = [-0.7, 1.0]
+    for p in (1.5, 3.0):
+        report = near_degenerate_probe(inner, a, probes, p)
+        for z, row in zip(probes, report.rows):
+            f_ref, taf_ref = quad_probe_norms(inner, a, z, p)
+            assert row.f_norm == pytest.approx(f_ref, rel=1e-9, abs=0.0)
+            assert row.taf_norm == pytest.approx(taf_ref, rel=1e-9, abs=0.0)
 
 
 def test_probe_even_p_needs_no_grid(monkeypatch):
-    # at p = 2 and 4 the norms come from the Clark points of I and I^2,
-    # so a zero at 1 - 1e-6, whose grid would need 2^26 nodes, is fine
-    def refuse(radius):
-        raise AssertionError("the even-p probe built a grid")
+    # every p takes its norms from Clark points, so a zero at 1 - 1e-6,
+    # whose FFT grid would need 2^26 nodes, builds no grid function
+    def refuse(*args):
+        raise AssertionError("the probe sampled a grid function")
 
-    monkeypatch.setattr(corona, "grid_for_radius", refuse)
+    monkeypatch.setattr(BoundaryFunction, "from_samples", classmethod(refuse))
+    monkeypatch.setattr(BlaschkeProduct, "boundary", refuse)
     inner = blaschke_make([1.0 - 1e-6, -0.5, 0.3j])
     a = [-0.7, 1.0]
     probes = [0.2, 0.9 * np.exp(0.3j)]
-    report = near_degenerate_probe(inner, a, probes, 2.0)
-    for z, row in zip(probes, report.rows):
-        # rounding grows like eps / (1 - |lambda|), about 2e-10 here
-        expected = np.sqrt(1.0 - abs(blaschke_eval(inner, z)) ** 2)
-        assert row.f_norm == pytest.approx(expected, rel=1e-9)
-    report = near_degenerate_probe(inner, a, probes, 4.0)
-    assert all(0.0 < row.f_norm < np.inf for row in report.rows)
+    for p in (1.5, 2.0, 3.0, 4.0):
+        report = near_degenerate_probe(inner, a, probes, p)
+        assert all(0.0 < row.f_norm < np.inf for row in report.rows)
+        if p == 2.0:
+            for z, row in zip(probes, report.rows):
+                # rounding grows like eps / (1 - |lambda|), about 2e-10 here
+                expected = np.sqrt(1.0 - abs(blaschke_eval(inner, z)) ** 2)
+                assert row.f_norm == pytest.approx(expected, rel=1e-9)

@@ -1,10 +1,8 @@
 """Core circle plumbing: grids, banded functions, pairing, norms, shifts."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
-from conftest import random_analytic, random_poly
+from conftest import quad_mean, random_analytic, random_poly
 
 from hardyops import (
     BoundaryFunction,
@@ -16,7 +14,6 @@ from hardyops import (
     IllConditionedError,
     NotAnalyticError,
     UnitDiscError,
-    grid_for_radius,
     hp_norm,
     integral_mean,
     monomial,
@@ -25,7 +22,7 @@ from hardyops import (
     shifts,
     sup_norm,
 )
-from hardyops.hardy import GRID_MAX_M, require_analytic
+from hardyops.hardy import require_analytic
 
 
 def test_params_validation():
@@ -46,30 +43,6 @@ def test_grid_validation():
         CircleGrid(m=16, n=8)
     with pytest.raises(ValueError):
         CircleGrid(m=32, n=0)
-
-
-def test_grid_for_radius():
-    assert grid_for_radius(0.0) == DEFAULT_GRID
-    assert grid_for_radius(0.5) == DEFAULT_GRID
-    big = grid_for_radius(0.999)
-    assert big.n > DEFAULT_GRID.n
-    assert big.m >= 2 * big.n + 2
-    assert big.m & (big.m - 1) == 0
-    with pytest.raises(UnitDiscError):
-        grid_for_radius(1.0)
-
-
-def test_grid_for_radius_node_cap():
-    assert grid_for_radius(0.99999).m == 2**23 == GRID_MAX_M
-    tracemalloc.start()
-    try:
-        with pytest.raises(UnitDiscError, match="too close to the circle") as info:
-            grid_for_radius(1.0 - 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert f"m={2**26}" in str(info.value) and "0.999999" in str(info.value)
-    assert peak < 1 << 20
 
 
 def test_coeff_sample_roundtrip():
@@ -314,6 +287,14 @@ def test_integral_mean_p4_closed_form():
     for r in (0.5, 0.9, 0.99):
         expected = (2.0 * np.pi * (1.0 + r * r) / (1.0 - r * r) ** 3) ** 0.25
         assert integral_mean(r, 4.0) == pytest.approx(expected, rel=1e-7)
+
+
+def test_integral_mean_matches_quad():
+    # outside even p the mean is a settled sum of Clark points of b_z^k
+    for z in (0.5, 0.9 * np.exp(0.3j), 0.999):
+        for p in (1.5, 3.0):
+            ref = quad_mean(lambda w: 1.0 / abs(1.0 - z / w), p, [np.angle(z)])
+            assert integral_mean(z, p) == pytest.approx((2.0 * np.pi) ** (1.0 / p) * ref, rel=1e-9)
 
 
 def test_monomial_bounds():

@@ -9,6 +9,7 @@ from hardyops import (
     CircleGrid,
     DEFAULT_GRID,
     IllConditionedError,
+    NonFiniteError,
     annihilator_defect,
     blaschke_eval,
     blaschke_make,
@@ -248,6 +249,26 @@ def test_clark_windows_bracket_across_windows(monkeypatch, power, extra):
     np.testing.assert_allclose(nodes, whole_nodes, rtol=0, atol=1e-12)
     np.testing.assert_allclose(weights, whole_weights, rtol=1e-9, atol=0)
     assert np.all(np.diff(np.angle(nodes) % (2.0 * np.pi)) > 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_p_norms_refuse_a_non_finite_sum(monkeypatch):
+    # a norm that overflowed would never settle, and the doubling would run
+    # to CLARK_MAX_NODES: the first rule raises instead
+    powers = []
+    windows = model_space._clark_windows
+
+    def record(inner, power=1, extra=0):
+        powers.append(power)
+        return windows(inner, power, extra)
+
+    monkeypatch.setattr(model_space, "_clark_windows", record)
+    inner = blaschke_make([0.3, -0.5])
+    coords = np.array([[1.0, np.inf], [0.0, 1.0]])
+    for p in (1.5, 4.0):
+        with pytest.raises(NonFiniteError, match="Clark nodes are not finite"):
+            model_space._p_norms(inner, coords, p)
+    assert powers == [1, 2]
 
 
 def test_cauchy_basis():
