@@ -111,9 +111,13 @@ class BlaschkeProduct:
     def sup_data(self) -> tuple:
         """(c * Pz, Q, the roots of Q, I on SUP_POINTS) for I = c * Pz / Q,
         computed once per product: every Bezout solve on this inner reads
-        them.  The arrays are read-only."""
+        them.  The roots are 1/conj(z_k) over the nonzero zeros, in the
+        order `P.polyroots` returns, with no eigenvalue solve.  The arrays
+        are read-only."""
+        lam = np.array(self.zeros, dtype=complex)
+        roots = np.sort(1.0 / np.conj(lam[lam != 0.0]))
         q = as_poly(self.denominator())
-        data = (self.numerator(), q, P.polyroots(q), blaschke_eval(self, SUP_POINTS))
+        data = (self.numerator(), q, roots, blaschke_eval(self, SUP_POINTS))
         for arr in data:
             arr.flags.writeable = False
         return data
@@ -129,10 +133,13 @@ class BlaschkeProduct:
         return self.constant * P.polyfromroots(self.zeros)
 
     def denominator(self) -> np.ndarray:
-        """Ascending coefficients of prod (1 - conj(z_k) z)."""
+        """Ascending coefficients of prod (1 - conj(z_k) z), the factors
+        multiplied in order with trailing zeros trimmed, as `P.polymul`
+        multiplies them; a zero z_k contributes the factor 1."""
         out = np.array([1.0 + 0.0j])
         for z in self.zeros:
-            out = P.polymul(out, np.array([1.0, -np.conj(z)]))
+            if z:
+                out = np.trim_zeros(np.convolve(out, np.array([1.0, -np.conj(z)])), "b")
         return out
 
     def as_rational(self) -> "RationalFunction":

@@ -255,14 +255,14 @@ def _check_bezout(config: RunConfig) -> dict:
 
 
 def _check_compressed(config: RunConfig) -> dict:
-    # a(S_I)^* as `tm_compression` sums it, with a zero analytic part
+    # a(S_I)^* as `tm_compression` sums it, with a zero analytic part; it
+    # is upper triangular, so its eigenvalues are its diagonal conj(a(lambda_k))
     M = 0.0 + config.symbol_matrix.conj().T
     sv = np.linalg.svd(M, compute_uv=False)
-    ev = np.linalg.eigvals(M)
     return {
         "sigma_min": float(sv[-1]),
         "singular_values": [float(s) for s in sv],
-        "eigenvalues": _complex_list(np.sort_complex(ev)),
+        "eigenvalues": _complex_list(np.sort_complex(np.diagonal(M))),
         "invertible": float(sv[-1]) > INVERTIBILITY_TOL,
     }
 

@@ -11,6 +11,8 @@ disc is produced, and T_conj(u) inverts the compressed operator.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,11 +62,30 @@ INVERSE_TOL = 1e-7
 _SCAN_RADII = np.linspace(0.0, 1.0, 64)[:, None]
 _SCAN_CIRCLE = np.exp(2j * np.pi * np.arange(256) / 256)
 
-#: Refinement: 48 square boxes of 9x9 points around the best point so far,
-#: of half-width 0.06 shrinking by 0.6 per box.
+#: Refinement: 20 square boxes of 9x9 points around the best point so far,
+#: of half-width 0.06 shrinking by 0.6 per box.  They choose the basin;
+#: further boxes would only polish a point within _NEWTON_CAP of the last
+#: centre, which the Newton finish (`_newton`) does.
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 9)
 _ZOOM_BOX = (_ZOOM_OFFSETS[:, None] + 1j * _ZOOM_OFFSETS[None, :]).ravel()
-_ZOOM_H = np.cumprod([0.06] + [0.6] * 47)
+_ZOOM_H = np.cumprod([0.06] + [0.6] * 19)
+
+#: Longest Newton step: sqrt(2) times the sum of all further half-widths
+#: of the series, the farthest any later box could move the centre
+#: (7.8e-6).
+_NEWTON_CAP = float(np.sqrt(2.0) * _ZOOM_H[-1] * 0.6 / (1.0 - 0.6))
+
+#: Most trials of the Newton finish per row, each of a step and its half.
+#: From within _NEWTON_CAP of a smooth minimum one trial settles f to its
+#: rounding on 19 of 20 rows of the test pairs; the rest are mostly rows
+#: next to a zero of a, where rounding in a'/a keeps the steps moving.
+_NEWTON_TRIES = 8
+
+#: The Newton finish stops at a step of at most this many ulps of |z|,
+#: or one that changes f by at most this many ulps to first order.
+_NEWTON_ULPS = 4.0
+
+_EPS = np.finfo(float).eps
 
 #: Most factor evaluations (points times zeros of I) in one refinement
 #: broadcast (64 KB per temporary).  From degree 26 on, a batch is one
@@ -221,22 +242,27 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct):
     Returns exactly 0.0 when the symbol nearly vanishes at a zero of the
     inner function (the only way the infimum can vanish for a finite
     product).  Otherwise a fixed polar scan seeded with the zeros of both
-    factors is refined by 48 shrinking boxes around the best point
-    (`_refine`).  Since f >= |a| everywhere and f(z_k) = |a(z_k)|, no scan
-    point with |a| > min_k |a(z_k)| can be the argmin, so I is evaluated on
-    the others alone.
+    factors is refined by 20 shrinking boxes around the best point
+    (`_refine`), which choose the basin, and a search that ends away from
+    its seed is finished by safeguarded Newton steps (`_newton`).  Since
+    f >= |a| everywhere and f(z_k) = |a(z_k)|, no scan point with
+    |a| > min_k |a(z_k)|, or with |a| above f at a root of a, can be the
+    argmin, so I is evaluated on the others alone.
 
     When the scan's best point is a seed, a root of a or a zero of I, the
     refinement often cannot move: `_stays` then proves, from Lipschitz and
-    pseudo-hyperbolic bounds on I, that no point of the 48 boxes around it
-    has a computed value below the best one, and the search is skipped.
-    Either way the result is the float the box-by-box search returns: a
-    value of f, so an upper estimate of the infimum; the tests hold it
-    within DELTA_TOL of the minimum of f over a dense seeded sample.
+    pseudo-hyperbolic bounds on I, that no point of the 20 boxes around it
+    has a computed value below the best one, and the search is skipped;
+    a search still at its seed, where f may have no derivative, gets no
+    finish.  Either way the result is a computed value of f at a point of
+    the closed disc, so an upper estimate of the infimum; the tests hold
+    it within DELTA_TOL of the minimum of f over a dense seeded sample,
+    and within 1e-12 of the 48-box search this one replaced.
 
     A stack of symbols of one degree (the rows of a 2-D array) gets an
     array, each entry the float of its one-row call; its rows share the
-    seeds, I on the kept points, `_stays` and `_refine`, in row blocks.
+    seeds, I on the kept points, `_stays`, `_refine` and `_newton`, in row
+    blocks.
     """
     polys, stacked = _symbol_rows(symbol_coeffs)
     if polys.shape[1] == 1 and not np.all(polys):
@@ -265,29 +291,52 @@ def corona_delta(symbol_coeffs, inner: BlaschkeProduct):
     deltas[live[stays]] = best[stays]
     moves = np.flatnonzero(~stays)
     if moves.size:
-        deltas[live[moves]] = _refine(polys[live[moves]], inner, center[moves], best[moves])
+        rows = live[moves]
+        found, end = _refine(polys[rows], inner, center[moves], best[moves])
+        # a search still at its seed may sit at a zero of a or of I
+        smooth = np.flatnonzero((end != center[moves]) | (at_seed[moves] < 0))
+        if smooth.size:
+            found[smooth] = _newton(polys[rows[smooth]], inner, end[smooth], found[smooth])
+        deltas[rows] = found
     return deltas if stacked else float(deltas[0])
 
 
 def _scan(polys, inner, seeds, seed_abs_a, bound):
     """Each row's best point among the scan and seeds with |a| <= bound:
     (centre, f and |I| there, and its seed index: n for a root of a, -1
-    for a scan point).  Rows are scanned one by one, on the cells of 8
-    points of a ring whose middle |a|, less max|a'| times the cell's
-    reach, is within bound; I is evaluated on the kept points of blocks
-    of rows of at most _ZOOM_BATCH points."""
+    for a scan point).  Since f >= |a|, no point where |a| exceeds f at a
+    root of a is the argmin either, so the bound drops to that value,
+    widened past the rounding of its evaluation (I by one broadcast over
+    its zeros, in row blocks of at most _ZOOM_BATCH factors).  Rows are
+    scanned one by one, on the cells of 8 points of a ring whose middle
+    |a|, less max|a'| times the cell's reach, is within the bound; I is
+    evaluated on the kept points of blocks of rows of at most _ZOOM_BATCH
+    points."""
     radii, circle = _SCAN_RADII.ravel(), _SCAN_CIRCLE
     width = 8
     ring_of = np.repeat(radii, circle.size // width)
     middle = ring_of * np.tile(circle[width // 2 :: width], radii.size)
     reach = ring_of * (2.0 * np.sin(np.pi * (width // 2) / circle.size)) * (1.0 + 1e-9) + 1e-12
     n = inner.degree
+    roots = seeds[:, n:]
+    if roots.size:
+        lam = np.array(inner.zeros, dtype=complex)[:, None, None]
+        at_roots = seed_abs_a[:, n:].copy()
+        rows = max(1, _ZOOM_BATCH // max(roots.shape[1] * n, 1))
+        for b in range(0, len(roots), rows):
+            r = roots[b : b + rows]
+            factors = (r - lam) / (1.0 - lam.conj() * r)
+            at_roots[b : b + rows] += np.abs(factors.prod(axis=0, initial=inner.constant))
+        bound = np.minimum(bound, at_roots.min(axis=1) * (1.0 + 1e-12))
     center = np.zeros(len(polys), dtype=complex)
     best, inner_abs = np.zeros(len(polys)), np.zeros(len(polys))
     at_seed = np.full(len(polys), -1)
 
     def settle(block):
-        abs_i = np.abs(blaschke_eval(inner, np.concatenate([z for _, z, _, _ in block])))
+        points = np.concatenate([z for _, z, _, _ in block])
+        # a lone point twice: numpy rounds a product on one value unlike the
+        # same product in a longer array
+        abs_i = np.abs(blaschke_eval(inner, points if points.size != 1 else np.repeat(points, 2)))
         start = 0
         for r, z, vals, seed_keep in block:
             here = abs_i[start : start + z.size]
@@ -324,10 +373,11 @@ def _scan(polys, inner, seeds, seed_abs_a, bound):
     return center, best, inner_abs, at_seed
 
 
-def _refine(polys, inner: BlaschkeProduct, center, best) -> np.ndarray:
-    """The 48-box search of `corona_delta` from each row's centre, whose
+def _refine(polys, inner: BlaschkeProduct, center, best) -> tuple[np.ndarray, np.ndarray]:
+    """The box search of `corona_delta` from each row's centre, whose
     value of f is best[r]: each box of 9x9 points is centred at the row's
     best point so far, and the first point below its best moves it.
+    Returns each row's best value and the point that has it.
 
     A row's boxes are evaluated in batches as if the centre stayed put;
     the first improving box moves it, and its later boxes are evaluated
@@ -372,7 +422,136 @@ def _refine(polys, inner: BlaschkeProduct, center, best) -> np.ndarray:
                 step[r] = steps[j] + 1
                 want[r] = min(2 * want[r], most)
         searching = [r for r in searching[len(rows) :] + rows if step[r] < _ZOOM_H.size]
+    return best, center
+
+
+def _newton(polys, inner: BlaschkeProduct, z, best) -> np.ndarray:
+    """The Newton finish of `corona_delta` from each row's end point z[r]
+    of the box search, whose value of f is best[r]; returns each row's
+    best value.
+
+    Inside the disc a step is 2-D, on f = |a| + |I|; on the circle, where
+    |I| = 1, it is 1-D in the angle, on |a(e^{i theta})| (`_newton_steps`).
+    Each trial evaluates the step and its half at once, projected onto
+    the closed disc as `_boxes` projects them, and the row moves to the
+    lower of the two only where f there, as `_box_values` computes it, is
+    below its best; otherwise its step is quartered.  A row stops at a
+    step of at most _NEWTON_ULPS ulps of |z|, at a step that cannot change
+    f by more than _NEWTON_ULPS ulps of its best to first order, at no
+    step or one that is not finite (a zero of a or of I), or after
+    _NEWTON_TRIES trials.  So its value stays a computed value of f at a point of the
+    closed disc, never above the box search's.
+
+    Rows advance in lockstep and every array holds at least two values:
+    numpy rounds a complex product on one value unlike the same product
+    in a longer array, so each row gets the floats of its one-row call.
+    """
+    zeros = np.array(inner.zeros, dtype=complex)[:, None]
+    z = np.array(z, dtype=complex).tolist()
+    best = np.array(best, dtype=float)
+    coeffs = polys.tolist()
+    steps = [(False, 0j, 0.0)] * len(z)  # (on the circle, step, gain) of each row
+    live = fresh = list(range(len(z)))
+    for _ in range(_NEWTON_TRIES):
+        if fresh:
+            found = _newton_steps([coeffs[r] for r in fresh], inner, zeros, [z[r] for r in fresh])
+            for r, step in zip(fresh, found):
+                steps[r] = step
+        live = [
+            r
+            for r in live
+            if abs(steps[r][1]) > _NEWTON_ULPS * math.ulp(abs(z[r]))
+            and steps[r][2] > _NEWTON_ULPS * math.ulp(best[r])
+        ]
+        if not live:
+            break
+        trials = []
+        for r in live:
+            circle, step, _ = steps[r]
+            if circle:
+                turns = cmath.exp(1j * step.real), cmath.exp(0.5j * step.real)
+                trials.append([z[r] * turns[0], z[r] * turns[1]])
+            else:
+                trials.append([z[r] + step, z[r] + 0.5 * step])
+        trials = np.array(trials)
+        size = np.abs(trials)
+        trials = np.where(size > 1.0, trials / np.maximum(size, 1e-300), trials)
+        values = _box_values(polys[live], inner, zeros[:, :, None], trials)
+        pick = values.argmin(axis=1)
+        lower = values[np.arange(len(live)), pick]
+        fresh = []
+        for k, r in enumerate(live):
+            if lower[k] < best[r]:
+                z[r], best[r] = complex(trials[k, pick[k]]), lower[k]
+                fresh.append(r)
+            else:
+                circle, step, gain = steps[r]
+                steps[r] = (circle, 0.25 * step, 0.25 * gain)
     return best
+
+
+def _newton_steps(coeffs, inner: BlaschkeProduct, zeros, points) -> list:
+    """(on the circle, step, gain) of `_newton` at each point z of
+    `points`, for the symbol of the same row of `coeffs` and I's `zeros`
+    shaped (n, 1); the gain |Re(F step)| bounds the step's change of f to
+    first order.
+
+    With w = g'/g, the Wirtinger derivatives of |g| = exp(Re log g) are
+    d|g|/dz = |g| w / 2, d2|g|/dz2 = |g| (w^2 / 2 + w') / 2 and
+    d2|g|/dz dconj(z) = |g| |w|^2 / 4: for a, w = a'/a and
+    w' = a''/a - w^2; for I, w = sum_k (1-|l_k|^2)/((z-l_k)(1-conj(l_k) z))
+    and w' = sum_k (conj(l_k)^2/(1-conj(l_k) z)^2 - 1/(z-l_k)^2).  Summed
+    over a and I and doubled they are F, B and A, and Newton's step
+    (conj(B) F - A conj(F)) / (A^2 - |B|^2) is taken where the Hessian of f
+    is positive definite, A > |B|; elsewhere the step runs down the
+    gradient, -conj(F).  On the circle (|z| >= 1 - 2 eps) the step is the
+    angle t of Newton's rule on |a(z e^{it})| = exp(L(t)), with
+    L' = -Im(z w) and L'' = -Re(z w + z^2 w').  Every step is cut to
+    _NEWTON_CAP.
+
+    I's sums run over all points at once, a lone point twice; the rest
+    runs per point in Python's complex arithmetic."""
+    at = np.array(points if len(points) > 1 else points * 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, v = at - zeros, 1.0 - zeros.conj() * at
+        w_i = ((1.0 - np.abs(zeros) ** 2) / (u * v)).sum(axis=0).tolist()
+        dw_i = ((zeros.conj() / v) ** 2 - (1.0 / u) ** 2).sum(axis=0).tolist()
+        abs_i = np.abs((u / v).prod(axis=0, initial=inner.constant)).tolist()
+    out = []
+    for poly, z, wi, dwi, si in zip(coeffs, points, w_i, dw_i, abs_i):
+        a, da, half = poly[-1], 0j, 0j  # a, a' and a''/2 by Horner's rule
+        for c in poly[-2::-1]:
+            half = half * z + da
+            da = da * z + a
+            a = a * z + c
+        try:
+            out.append(_newton_step(z, a, da / a, 2.0 * half / a, wi, dwi, si))
+        except ArithmeticError:  # at a zero of a, or a zero gradient off a minimum
+            out.append((False, 0j, 0.0))  # no step
+    return out
+
+
+def _newton_step(z, a, w, ratio, wi, dwi, si) -> tuple:
+    """`_newton_steps` at one point z, from a(z), w = a'/a,
+    ratio = a''/a and I's w, w' and |I| there."""
+    sa = abs(a)
+    dw = ratio - w * w
+    if abs(z) >= 1.0 - 2.0 * _EPS:
+        zw = z * w
+        d1 = -zw.imag
+        d2 = d1 * d1 - (zw + z * z * dw).real  # L'' + L'^2
+        t = -d1 / d2 if d2 > 0.0 else -math.copysign(_NEWTON_CAP, d1)
+        t = min(max(t, -_NEWTON_CAP), _NEWTON_CAP)
+        return True, complex(t), sa * abs(d1 * t)
+    F = sa * w + si * wi
+    A = 0.5 * (sa * (w * w.conjugate()).real + si * (wi * wi.conjugate()).real)
+    B = sa * (0.5 * w * w + dw) + si * (0.5 * wi * wi + dwi)
+    den = A * A - (B * B.conjugate()).real
+    step = (B.conjugate() * F - A * F.conjugate()) / den if den > 0.0 else -F.conjugate()
+    length = abs(step)
+    if den <= 0.0 or length > _NEWTON_CAP:
+        step *= _NEWTON_CAP / length
+    return False, step, abs((F * step).real)
 
 
 def _boxes(center: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -404,7 +583,7 @@ def _stays(polys, inner: BlaschkeProduct, s, best, inner_abs, at_seed) -> np.nda
     """For each row r, True when `_refine` from s[r] with value best[r]
     provably returns best[r].
 
-    While the search stays at s it visits the points p of the 48 boxes
+    While the search stays at s it visits the points p of the 20 boxes
     centred there, projected onto the closed disc as `_refine` projects
     them.  It moves only to a p whose computed value A_p + I_p, with
     A_p = |a(p)| from `_horner` as the search computes it, lies below

@@ -338,24 +338,26 @@ def _clark_norms(inner: BlaschkeProduct, coords: np.ndarray, p: float, power: in
     chunk has at least _NORM_NODES nodes unless fewer are left, and a
     group at most _NORM_BLOCK values.  The sums run relative to the
     largest modulus seen so far, so no power overflows for large p.  A
-    norm that is not finite raises NonFiniteError."""
+    norm that is not finite raises NonFiniteError, with no RuntimeWarning
+    from the sums that made it so."""
     n, cols = coords.shape
     size = max(_NORM_NODES, _NORM_BLOCK // max(n, cols, 1))
     width = max(1, _NORM_BLOCK // size)
     top = np.full(cols, np.finfo(float).tiny)
     total = np.zeros(cols)
-    for pts, w in _chunks(_clark_windows(inner, power=power), size):
-        basis = _tm_rows(inner, pts)
-        for j in range(0, cols, width):
-            mod = np.abs(coords[:, j : j + width].T @ basis)
-            old = top[j : j + width]
-            new = np.maximum(old, mod.max(axis=-1))
-            mod /= new[:, None]
-            np.power(mod, p, out=mod)
-            total[j : j + width] *= (old / new) ** p
-            total[j : j + width] += np.sum(mod * w, axis=-1)
-            top[j : j + width] = new
-    norms = top * total ** (1.0 / p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pts, w in _chunks(_clark_windows(inner, power=power), size):
+            basis = _tm_rows(inner, pts)
+            for j in range(0, cols, width):
+                mod = np.abs(coords[:, j : j + width].T @ basis)
+                old = top[j : j + width]
+                new = np.maximum(old, mod.max(axis=-1))
+                mod /= new[:, None]
+                np.power(mod, p, out=mod)
+                total[j : j + width] *= (old / new) ** p
+                total[j : j + width] += np.sum(mod * w, axis=-1)
+                top[j : j + width] = new
+        norms = top * total ** (1.0 / p)
     if not np.all(np.isfinite(norms)):  # it would never settle
         raise NonFiniteError(f"p-norms at p={p:g} on {power * n} Clark nodes are not finite")
     return norms

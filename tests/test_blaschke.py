@@ -233,6 +233,27 @@ def test_zero_ordering_in_numerator():
     np.testing.assert_allclose(roots, np.sort_complex(np.array(inner.zeros)), atol=1e-8)
 
 
+def test_denominator_and_its_roots_in_closed_form():
+    # Q = prod (1 - conj(z_k) z) has the coefficients of the P.polymul
+    # product to the bit, zero zeros and an underflowing top coefficient
+    # included; its roots are 1/conj(z_k) over the nonzero zeros, in the
+    # order of P.polyroots
+    rng = np.random.default_rng(37)
+    cases = [[], [0.0], [0.0, 0.5], [1e-200, 1e-200], [0.3, 0.3, -0.2j, 0.0]]
+    cases += [list(random_zeros(rng, int(rng.integers(1, 12)), radius=0.9)) for _ in range(40)]
+    for zeros in cases:
+        inner = blaschke_make(zeros)
+        reference = np.array([1.0 + 0.0j])
+        for z in inner.zeros:
+            reference = P.polymul(reference, np.array([1.0, -np.conj(z)]))
+        np.testing.assert_array_equal(inner.denominator(), reference)
+        _, q, roots, _ = inner.sup_data
+        nonzero = np.array([z for z in inner.zeros if z], dtype=complex)
+        np.testing.assert_array_equal(roots, np.sort(1.0 / np.conj(nonzero)))
+        if len(set(inner.zeros)) == len(inner.zeros) and np.all(np.abs(nonzero) > 0.05):
+            np.testing.assert_allclose(roots, P.polyroots(q), rtol=1e-8)
+
+
 def test_per_product_closed_forms_are_read_only_and_per_product():
     zeros = [0.5, -0.3 + 0.4j, 0.1, 0.5]
     a, b = blaschke_make(zeros), blaschke_make(zeros)

@@ -389,6 +389,23 @@ def test_adjoint_defect_above_tolerance_exits_3(tmp_path, monkeypatch):
     assert report["checks"]["corona"]["invertible"]
 
 
+def test_compressed_eigenvalues_are_the_sorted_diagonal():
+    # a(S_I)^* is upper triangular: the sorted diagonal the check prints is
+    # the sorted output of eigvals, to the bit
+    rng = np.random.default_rng(91)
+    for k in range(60):
+        zeros = random_zeros(rng, int(rng.integers(1, 16)), radius=0.95)
+        if k % 4 == 1 and len(zeros) > 1:
+            zeros[-1] = zeros[0]
+        symbol = rng.standard_normal((int(rng.integers(1, 5)), 2))
+        zeros = [[z.real, z.imag] for z in zeros]
+        config = parse_config({"inner": {"zeros": zeros}, "symbol": symbol.tolist()})
+        M = 0.0 + config.symbol_matrix.conj().T
+        assert np.array_equal(np.triu(M), M)
+        eigenvalues = [complex(*z) for z in cli._check_compressed(config)["eigenvalues"]]
+        np.testing.assert_array_equal(eigenvalues, np.sort_complex(np.linalg.eigvals(M)))
+
+
 def test_compressed_check_near_circle_zero():
     doc = base_config()
     doc["inner"] = {"zeros": [0.99, 0.2]}
@@ -783,6 +800,20 @@ def test_sweep_probe_radius_cap_exits_3_with_nodes_and_difference(tmp_path, caps
     assert "did not settle within CLARK_MAX_NODES=64 Clark nodes" in err
     moved = re.search(r"the doubling to 64 nodes moved them by (\S+) relative", err)
     assert moved and float(moved.group(1)) > model_space.NORM_TOL
+
+
+def test_sweep_probe_radius_overflowing_image_exits_3_without_warnings(tmp_path, capsys):
+    # the sums bounding the symbol are finite, but its image overflows on
+    # the Clark nodes: one typed error line and exit 3, no RuntimeWarning
+    doc = {"inner": {"zeros": [[0.5, 0], [0.1, 0.2]]}, "symbol": [1.5e308], "p": 1.5}
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    fam = write_json(tmp_path, "fam.json", {"kind": "probe_radius", "radii": [0.2, 0.9]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg, "--family", fam]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    out, err = capsys.readouterr()
+    assert err == "numerical failure: p-norms at p=1.5 on 4 Clark nodes are not finite\n"
 
 
 def test_sweep_probe_radius_zero_near_circle_at_p2(tmp_path):
